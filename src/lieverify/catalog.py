@@ -205,6 +205,11 @@ def _deformative_rules(lam: Fraction, mu: Fraction, with_cl: bool) -> dict[str, 
     }
 
 
+def _rules(terms: dict[str, list[BracketTerm]]) -> tuple[BracketRule, ...]:
+    """One rule per entry of a term dict keyed by family pair, e.g. "LY"."""
+    return tuple(BracketRule(pair[0], pair[1], tuple(ts)) for pair, ts in terms.items())
+
+
 def _require_params(params: Mapping[str, Fraction], name: str) -> tuple[Fraction, Fraction]:
     try:
         lam = Fraction(params["lambda"])
@@ -234,14 +239,8 @@ def _deformative_families(mu: Fraction, shifted: bool, centrals: tuple[str, ...]
 def _build_L(params: Mapping[str, Fraction]) -> AlgebraSpec:
     lam, mu = _require_params(params, "L")
     t = _deformative_rules(lam, mu, with_cl=False)
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
     families = _deformative_families(mu, shifted=False, centrals=())
-    return AlgebraSpec("L", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("L", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 def _guarded(name: str, expected: CaseLabel, lam: Fraction, mu: Fraction) -> None:
@@ -254,14 +253,8 @@ def _build_ltilde1(params: Mapping[str, Fraction]) -> AlgebraSpec:
     lam, mu = _require_params(params, "Ltilde1")
     _guarded("Ltilde1", CaseLabel.L1_GENERIC, lam, mu)
     t = _deformative_rules(lam, mu, with_cl=True)
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
     families = _deformative_families(mu, shifted=False, centrals=("C_L",))
-    return AlgebraSpec("Ltilde1", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("Ltilde1", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 def _build_ltilde2(params: Mapping[str, Fraction]) -> AlgebraSpec:
@@ -270,13 +263,7 @@ def _build_ltilde2(params: Mapping[str, Fraction]) -> AlgebraSpec:
     t = _deformative_rules(lam, mu, with_cl=True)
     t["LY"].append(BracketTerm(ONE, "C_LY", delta=DeltaCondition(mu + Fraction(1, 2))))
     families = _deformative_families(mu, shifted=True, centrals=("C_L", "C_LY"))
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
-    return AlgebraSpec("Ltilde2", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("Ltilde2", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 def _build_ltilde3(params: Mapping[str, Fraction]) -> AlgebraSpec:
@@ -286,20 +273,9 @@ def _build_ltilde3(params: Mapping[str, Fraction]) -> AlgebraSpec:
     t["LY"].append(
         BracketTerm((M ** 2 - M) / 2, "C_LY", delta=DeltaCondition(mu + Fraction(1, 2)))
     )
-    my = BracketRule(
-        "M",
-        "Y",
-        (BracketTerm(ONE, "C_MY", delta=DeltaCondition(3 * mu + Fraction(1, 2))),),
-    )
+    t["MY"] = [BracketTerm(ONE, "C_MY", delta=DeltaCondition(3 * mu + Fraction(1, 2)))]
     families = _deformative_families(mu, shifted=True, centrals=("C_L", "C_LY", "C_MY"))
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        my,
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
-    return AlgebraSpec("Ltilde3", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("Ltilde3", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 def _build_ltilde4(params: Mapping[str, Fraction]) -> AlgebraSpec:
@@ -317,13 +293,7 @@ def _build_ltilde4(params: Mapping[str, Fraction]) -> AlgebraSpec:
         BracketTerm(-(u ** 3 - u), "C_M", delta=DeltaCondition(2 * mu + 1))
     )
     families = _deformative_families(mu, shifted=True, centrals=("C_L", "C_LY", "C_M"))
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
-    return AlgebraSpec("Ltilde4", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("Ltilde4", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 def _build_ltilde5(params: Mapping[str, Fraction]) -> AlgebraSpec:
@@ -338,13 +308,7 @@ def _build_ltilde5(params: Mapping[str, Fraction]) -> AlgebraSpec:
         )
     )
     families = _deformative_families(mu, shifted=True, centrals=("C_L", "C_Y"))
-    rules = (
-        BracketRule("L", "L", tuple(t["LL"])),
-        BracketRule("L", "M", tuple(t["LM"])),
-        BracketRule("L", "Y", tuple(t["LY"])),
-        BracketRule("Y", "Y", tuple(t["YY"])),
-    )
-    return AlgebraSpec("Ltilde5", families, rules, {"lambda": lam, "mu": mu})
+    return AlgebraSpec("Ltilde5", families, _rules(t), {"lambda": lam, "mu": mu})
 
 
 _BUILDERS = {

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from .linalg import axpy
 from .poly import Poly
 
 INTEGER = "integer"
@@ -87,10 +88,7 @@ class Element:
         return cls({sym: Fraction(coeff)})
 
     def __add__(self, other: "Element") -> "Element":
-        merged = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            merged[sym] = merged.get(sym, Fraction(0)) + coeff
-        return Element(merged)
+        return Element(axpy(dict(self.terms), other.terms))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1)
@@ -155,6 +153,29 @@ class BracketRule:
     left: str
     right: str
     terms: tuple[BracketTerm, ...]
+
+
+def index_rules(
+    families: Mapping[str, Family], rules: Iterable[BracketRule], what: str
+) -> dict[frozenset, BracketRule]:
+    """Validate `what` rules against the families; index them by unordered pair."""
+    pairs: dict[frozenset, BracketRule] = {}
+    for rule in rules:
+        for name in (rule.left, rule.right):
+            if name not in families:
+                raise StructureError(f"{what} rule references unknown family {name!r}")
+            if families[name].lattice == CENTRAL:
+                raise StructureError(f"central family {name!r} cannot head a {what} rule")
+        key = frozenset((rule.left, rule.right))
+        if key in pairs:
+            raise StructureError(
+                f"duplicate {what} rule for family pair ({rule.left}, {rule.right})"
+            )
+        pairs[key] = rule
+        for term in rule.terms:
+            if term.target not in families:
+                raise StructureError(f"{what} rule targets unknown family {term.target!r}")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -246,23 +267,7 @@ class AlgebraSpec:
             if fam.name in ("m", "n"):
                 raise StructureError("family names m and n are reserved")
             self._fam[fam.name] = fam
-        for rule in self.rules:
-            for name in (rule.left, rule.right):
-                if name not in self._fam:
-                    raise StructureError(f"rule references unknown family {name}")
-                if self._fam[name].lattice == CENTRAL:
-                    raise StructureError(
-                        f"central family {name} cannot appear on the left of a rule"
-                    )
-            key = frozenset((rule.left, rule.right))
-            if key in self._pair:
-                raise StructureError(
-                    f"duplicate rule for family pair ({rule.left}, {rule.right})"
-                )
-            self._pair[key] = rule
-            for term in rule.terms:
-                if term.target not in self._fam:
-                    raise StructureError(f"rule targets unknown family {term.target}")
+        self._pair.update(index_rules(self._fam, self.rules, "bracket"))
 
     def family(self, name: str) -> Family:
         try:
@@ -339,41 +344,44 @@ class AlgebraSpec:
                     yield BasisSymbol(fam.name, twice)
 
 
+def eval_rule(
+    spec: AlgebraSpec, rule: BracketRule, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
+) -> dict[BasisSymbol, Fraction]:
+    """Evaluate `rule` at the symbol pair (x, y) as a symbol->coefficient dict.
+
+    When x does not sit in the rule's left slot the index variables swap,
+    and an antisymmetric (bracket) rule also flips its sign.
+    """
+    if rule.left == x.family and (rule.right == y.family or rule.left == rule.right):
+        sign, a, b = 1, x, y
+    else:
+        sign, a, b = (-1 if antisymmetric else 1), y, x
+    mv = spec.rule_var(a)
+    nv = spec.rule_var(b)
+    out: dict[BasisSymbol, Fraction] = {}
+    for term in rule.terms:
+        if term.delta is not None and not term.delta.fires(mv, nv):
+            continue
+        tf = spec.family(term.target)
+        if tf.lattice == CENTRAL:
+            sym = BasisSymbol(term.target, None)
+        else:
+            half = 1 if tf.lattice == HALF else 0
+            sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + half)
+        axpy(out, {sym: term.coeff.evaluate(mv, nv)}, sign)
+    return out
+
+
 def bracket_symbols(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, Fraction]:
     """[x, y] for basis symbols, as a symbol->coefficient dict (memoized)."""
     key = (x, y)
     cached = spec._cache.get(key)
     if cached is not None:
         return cached
-    fx = spec.family(x.family)
-    fy = spec.family(y.family)
-    out: dict[BasisSymbol, Fraction] = {}
-    if fx.lattice != CENTRAL and fy.lattice != CENTRAL:
-        rule = spec.rule_for(x.family, y.family)
-        if rule is not None:
-            if rule.left == x.family and (rule.right == y.family or rule.left == rule.right):
-                sign, a, b = 1, x, y
-            else:
-                sign, a, b = -1, y, x
-            mv = spec.rule_var(a)
-            nv = spec.rule_var(b)
-            for term in rule.terms:
-                if term.delta is not None and not term.delta.fires(mv, nv):
-                    continue
-                coeff = term.coeff.evaluate(mv, nv) * sign
-                if not coeff:
-                    continue
-                tf = spec.family(term.target)
-                if tf.lattice == CENTRAL:
-                    sym = BasisSymbol(term.target, None)
-                else:
-                    half = 1 if tf.lattice == HALF else 0
-                    sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + half)
-                total = out.get(sym, Fraction(0)) + coeff
-                if total:
-                    out[sym] = total
-                else:
-                    out.pop(sym, None)
+    spec.family(x.family)  # raise StructureError on unknown families
+    spec.family(y.family)
+    rule = spec.rule_for(x.family, y.family)
+    out = {} if rule is None else eval_rule(spec, rule, x, y, antisymmetric=True)
     spec._cache[key] = out
     return out
 
@@ -392,28 +400,8 @@ def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbo
     for sx, cx in x.items():
         spec.family(sx.family)  # raises StructureError on unknown families
         for sy, cy in y.items():
-            for sym, coeff in bracket_symbols(spec, sx, sy).items():
-                total = acc.get(sym, Fraction(0)) + cx * cy * coeff
-                if total:
-                    acc[sym] = total
-                else:
-                    acc.pop(sym, None)
+            axpy(acc, bracket_symbols(spec, sx, sy), cx * cy)
     return Element(acc)
-
-
-def bracket_element_symbol(
-    spec: AlgebraSpec, terms: Mapping[BasisSymbol, Fraction], z: BasisSymbol
-) -> dict[BasisSymbol, Fraction]:
-    """[sum terms, z] at the symbol level, avoiding Element wrappers in hot loops."""
-    acc: dict[BasisSymbol, Fraction] = {}
-    for sym, coeff in terms.items():
-        for out, c in bracket_symbols(spec, sym, z).items():
-            total = acc.get(out, Fraction(0)) + coeff * c
-            if total:
-                acc[out] = total
-            else:
-                acc.pop(out, None)
-    return acc
 
 
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
@@ -424,13 +412,7 @@ def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     for i, x in enumerate(symbols):
         for y in symbols[i:]:
             count += 1
-            acc = dict(bracket_symbols(spec, x, y))
-            for sym, coeff in bracket_symbols(spec, y, x).items():
-                total = acc.get(sym, Fraction(0)) + coeff
-                if total:
-                    acc[sym] = total
-                else:
-                    acc.pop(sym, None)
+            acc = axpy(dict(bracket_symbols(spec, x, y)), bracket_symbols(spec, y, x))
             if acc:
                 violations.append(Violation((x, y), Element(acc), "skew-symmetry broken"))
     return Report("skew", tuple(violations), count)
@@ -440,13 +422,8 @@ def jacobi_residual(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisS
     """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y]."""
     acc: dict[BasisSymbol, Fraction] = {}
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        inner = bracket_symbols(spec, a, b)
-        for sym, coeff in bracket_element_symbol(spec, inner, c).items():
-            total = acc.get(sym, Fraction(0)) + coeff
-            if total:
-                acc[sym] = total
-            else:
-                acc.pop(sym, None)
+        for sym, coeff in bracket_symbols(spec, a, b).items():
+            axpy(acc, bracket_symbols(spec, sym, c), coeff)
     return Element(acc)
 
 

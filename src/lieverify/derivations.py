@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
+from .linalg import axpy
 from .core import (
     CENTRAL,
     AlgebraSpec,
@@ -46,15 +47,12 @@ def derivation_residual(
     if not callable(phi):
         table = phi
         phi = lambda s: table.get(s, Element())
-    lhs = Element()
+    acc: dict[BasisSymbol, Fraction] = {}
     for sym, coeff in bracket_symbols(spec, x, y).items():
-        lhs = lhs + phi(sym).scale(coeff)
-    rhs = bracket(spec, phi(x), y) + bracket(spec, x, phi(y))
-    return lhs - rhs.scale(delta)
-
-
-def _source_symbols(spec: AlgebraSpec, bound2: int) -> list[BasisSymbol]:
-    return list(spec.basis_symbols(bound2, include_central=True))
+        axpy(acc, phi(sym).terms, coeff)
+    axpy(acc, bracket(spec, phi(x), y).terms, -delta)
+    axpy(acc, bracket(spec, x, phi(y)).terms, -delta)
+    return Element(acc)
 
 
 def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -> list[BasisSymbol]:
@@ -77,7 +75,7 @@ def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -
 def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
     n_unk2 = window.resolve_nunk2(spec, g2)
     unknowns: list[Unknown] = []
-    for src in _source_symbols(spec, n_unk2):
+    for src in spec.basis_symbols(n_unk2):
         for tgt in _targets_for(spec, src, g2, n_unk2):
             unknowns.append((src, tgt))
     return unknowns
@@ -92,24 +90,19 @@ def assemble_system(
     """Unknown list plus sparse residual rows over those unknowns."""
     n_unk2 = window.resolve_nunk2(spec, g2)
     unknowns = build_unknowns(spec, g2, window)
-    col = {u: i for i, u in enumerate(unknowns)}
-    by_source: dict[BasisSymbol, list[tuple[int, BasisSymbol]]] = {}
+    # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
+    image: dict[BasisSymbol, list[tuple[BasisSymbol, int]]] = {}
     for i, (src, tgt) in enumerate(unknowns):
-        by_source.setdefault(src, []).append((i, tgt))
+        image.setdefault(src, []).append((tgt, i))
 
-    symbols = _source_symbols(spec, window.n_eq2)
+    symbols = list(spec.basis_symbols(window.n_eq2))
     rows: list[linalg.SparseRow] = []
     for ix, x in enumerate(symbols):
         for y in symbols[ix + 1 :]:
             if x.twice is None and y.twice is None:
                 continue  # central-central rows vanish identically
-            # residual coefficients, grouped by output symbol
-            acc: dict[BasisSymbol, linalg.SparseRow] = {}
-
-            def add(out: BasisSymbol, column: int, value: Fraction) -> None:
-                row = acc.setdefault(out, {})
-                row[column] = row.get(column, Fraction(0)) + value
-
+            # residual coefficients, keyed (output symbol, column)
+            acc: dict[tuple[BasisSymbol, int], Fraction] = {}
             for mid, coeff in bracket_symbols(spec, x, y).items():
                 if mid.twice is not None and abs(mid.twice) > n_unk2:
                     raise WindowError(
@@ -117,18 +110,18 @@ def assemble_system(
                         f"unknown window; increase nunk"
                     )
                 # sources with no degree-matched targets have zero image
-                for column, tgt in by_source.get(mid, ()):
-                    add(tgt, column, coeff)
+                axpy(acc, dict.fromkeys(image.get(mid, ()), coeff))
             for left, other, sign in ((x, y, 1), (y, x, -1)):
                 # [phi(left), other]; sign restores [other, phi(left)] order
-                for column, tgt in by_source.get(left, ()):  # centrals may be absent
-                    for out, coeff in bracket_symbols(spec, tgt, other).items():
-                        add(out, column, -delta * sign * coeff)
-            for row in acc.values():
-                cleaned = {c: v for c, v in row.items() if v}
-                if cleaned:
-                    rows.append(cleaned)
-    assert all(c in range(len(col)) for row in rows for c in row)
+                factor = -delta * sign
+                for tgt, column in image.get(left, ()):  # centrals may be absent
+                    out = bracket_symbols(spec, tgt, other)
+                    axpy(acc, {(sym, column): c for sym, c in out.items()}, factor)
+            by_output: dict[BasisSymbol, linalg.SparseRow] = {}
+            for (sym, column), value in acc.items():
+                by_output.setdefault(sym, {})[column] = value
+            rows.extend(by_output.values())
+    assert all(c in range(len(unknowns)) for row in rows for c in row)
     return unknowns, rows
 
 
@@ -204,80 +197,35 @@ def _unknown_key(u: Unknown):
     )
 
 
-def _is_core(spec: AlgebraSpec, u: Unknown, n_core2: int) -> bool:
+def _is_core(u: Unknown, n_core2: int) -> bool:
     src, _ = u
     return src.twice is None or abs(src.twice) <= n_core2
 
 
 def _interior_basis(
-    unknowns: Sequence[Unknown],
-    vectors: Sequence[linalg.SparseRow],
-    core_cols: Sequence[int],
+    vectors: Sequence[linalg.SparseRow], core_cols: Sequence[int]
 ) -> list[linalg.SparseRow]:
-    """Select nullspace vectors with independent interior projections.
+    """Nullspace combinations whose interior projections are in reduced form.
 
-    Gaussian elimination runs on the projections while the same row
-    operations are mirrored onto the full vectors, so each returned
-    vector is still an exact solution of the full system.
+    Each row holds the projection onto the core columns (columns 0..k-1)
+    followed by the full vector shifted by k, so one RREF reduces the
+    projections and carries the same row operations onto the full vectors:
+    every returned vector is still an exact solution of the full system.
     """
-    core_index = {c: i for i, c in enumerate(core_cols)}
-    work = []  # (projection, full vector)
+    k = len(core_cols)
+    index = {c: i for i, c in enumerate(core_cols)}
+    rows = []
     for vec in vectors:
-        proj = {core_index[c]: v for c, v in vec.items() if c in core_index}
-        work.append((proj, dict(vec)))
-
-    basis: list[tuple[int, linalg.SparseRow, linalg.SparseRow]] = []  # (pivot, proj, full)
-    for proj, full in work:
-        for pcol, prow, pfull in basis:
-            factor = proj.get(pcol)
-            if factor:
-                for c, v in prow.items():
-                    nv = proj.get(c, Fraction(0)) - factor * v
-                    if nv:
-                        proj[c] = nv
-                    else:
-                        proj.pop(c, None)
-                for c, v in pfull.items():
-                    nv = full.get(c, Fraction(0)) - factor * v
-                    if nv:
-                        full[c] = nv
-                    else:
-                        full.pop(c, None)
-        if not proj:
-            continue
-        pivot = min(proj)
-        inv = Fraction(1) / proj[pivot]
-        proj = {c: v * inv for c, v in proj.items()}
-        full = {c: v * inv for c, v in full.items()}
-        basis.append((pivot, proj, full))
-
-    # back-eliminate for a deterministic reduced form
-    basis.sort(key=lambda t: t[0])
-    for i in range(len(basis) - 1, -1, -1):
-        pivot, prow, pfull = basis[i]
-        for j in range(i):
-            _, qrow, qfull = basis[j]
-            factor = qrow.get(pivot)
-            if not factor:
-                continue
-            for c, v in prow.items():
-                nv = qrow.get(c, Fraction(0)) - factor * v
-                if nv:
-                    qrow[c] = nv
-                else:
-                    qrow.pop(c, None)
-            for c, v in pfull.items():
-                nv = qfull.get(c, Fraction(0)) - factor * v
-                if nv:
-                    qfull[c] = nv
-                else:
-                    qfull.pop(c, None)
-    return [full for _, _, full in basis]
+        row = {index[c]: v for c, v in vec.items() if c in index}
+        row.update((c + k, v) for c, v in vec.items())
+        rows.append(row)
+    pivots = linalg.rref(rows)
+    return [
+        {c - k: v for c, v in pivots[p].items() if c >= k} for p in sorted(pivots) if p < k
+    ]
 
 
-def _describe(
-    spec: AlgebraSpec, unknowns: Sequence[Unknown], coeffs: dict[Unknown, Fraction]
-) -> str:
+def _describe(coeffs: dict[Unknown, Fraction]) -> str:
     """Human-readable summary of a derivation restricted to the interior."""
     if not coeffs:
         return "zero map"
@@ -321,29 +269,27 @@ def solve_degree(
 ) -> DegreeResult:
     unknowns, rows = assemble_system(spec, g2, window, delta)
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
-    core_cols = [i for i, u in enumerate(unknowns) if _is_core(spec, u, window.n_core2)]
-    basis = _interior_basis(unknowns, vectors, core_cols)
+    core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
+    basis = _interior_basis(vectors, core_cols)
 
     generators = []
     checked = True
-    symbols = _source_symbols(spec, window.n_eq2)
+    symbols = list(spec.basis_symbols(window.n_eq2))
     for full in basis:
-        table = {}
-        for c, v in full.items():
-            src, tgt = unknowns[c]
-            table.setdefault(src, Element())
-            table[src] = table[src] + Element({tgt: v})
         if verify_residual:
+            images: dict[BasisSymbol, dict[BasisSymbol, Fraction]] = {}
+            for c, v in full.items():
+                src, tgt = unknowns[c]
+                images.setdefault(src, {})[tgt] = v
+            table = {src: Element(terms) for src, terms in images.items()}
             for ix, x in enumerate(symbols):
                 for y in symbols[ix + 1 :]:
                     if derivation_residual(spec, table, x, y, delta):
                         checked = False
         interior = {
-            unknowns[c]: v
-            for c, v in full.items()
-            if _is_core(spec, unknowns[c], window.n_core2)
+            unknowns[c]: v for c, v in full.items() if _is_core(unknowns[c], window.n_core2)
         }
-        generators.append(Generator(_describe(spec, unknowns, interior), interior))
+        generators.append(Generator(_describe(interior), interior))
     return DegreeResult(g2, len(basis), generators, checked and verify_residual)
 
 

@@ -34,6 +34,10 @@ from .core import (
 )
 from .poly import Poly
 
+# Largest exponent accepted after `^`: powers are expanded by repeated
+# multiplication, so an unbounded exponent would hang the parser.
+MAX_EXPONENT = 16
+
 
 class DslError(ValueError):
     """Syntax or validation error, with a 1-based source position."""
@@ -196,6 +200,10 @@ class _PolyParser:
             num = self.s.next()
             if num.kind != "NUMBER":
                 raise DslError("exponent must be a nonnegative integer", num.line, num.col)
+            if int(num.text) > MAX_EXPONENT:
+                raise DslError(
+                    f"exponent {num.text} exceeds the maximum {MAX_EXPONENT}", num.line, num.col
+                )
             return poly ** int(num.text)
         return poly
 

@@ -1,20 +1,38 @@
-"""Exact nullspace computation over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Two independent routes:
-
-* `sparse_nullspace` -- incremental reduced row echelon form on sparse rows
-  (dict column -> Fraction), deterministic lowest-column pivoting.  This is
-  the production path of the derivation solver.
-* `dense_nullspace` -- a textbook fraction-free Gauss-Jordan on a dense
-  integer matrix, kept deliberately separate as a cross-checking oracle.
+Vectors are dicts key -> Fraction with no zero entries.  `axpy` is the one
+accumulation kernel every module uses; `rref` is incremental reduced row
+echelon form on sparse rows (dict column -> Fraction) with deterministic
+lowest-column pivoting, and `sparse_nullspace` reads a kernel basis off it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, TypeVar
 
+K = TypeVar("K")
 SparseRow = dict[int, Fraction]
+
+
+def axpy(
+    acc: dict[K, Fraction], vec: Mapping[K, Fraction], factor: Fraction | int = 1
+) -> dict[K, Fraction]:
+    """acc += factor * vec in place, dropping entries that cancel to zero.
+
+    Returns `acc`, so a fresh sum reads ``axpy(dict(a), b)``.
+    """
+    scaled = factor != 1
+    for key, val in vec.items():
+        if scaled:
+            val = factor * val
+        prev = acc.get(key)
+        if prev is not None:
+            val = prev + val
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def reduce_row(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
@@ -27,14 +45,8 @@ def reduce_row(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
     row = dict(row)
     for col in sorted(c for c in row if c in pivots):
         factor = row.get(col)
-        if not factor:
-            continue
-        for c, v in pivots[col].items():
-            total = row.get(c, Fraction(0)) - factor * v
-            if total:
-                row[c] = total
-            else:
-                row.pop(c, None)
+        if factor:
+            axpy(row, pivots[col], -factor)
     return row
 
 
@@ -49,16 +61,10 @@ def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
         lead = row[col]
         row = {c: v / lead for c, v in row.items()}
         # keep the basis reduced: clear the new pivot column everywhere
-        for pcol, prow in pivots.items():
+        for prow in pivots.values():
             f = prow.get(col)
-            if f is None:
-                continue
-            for c, v in row.items():
-                total = prow.get(c, Fraction(0)) - f * v
-                if total:
-                    prow[c] = total
-                else:
-                    prow.pop(c, None)
+            if f is not None:
+                axpy(prow, row, -f)
         pivots[col] = row
     return pivots
 
@@ -83,77 +89,5 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
             coeff = prow.get(free)
             if coeff:
                 vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
-
-
-def _integerize(row: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for v in row:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def dense_nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis by dense integer Gauss-Jordan (the cross-check oracle).
-
-    Rows are cleared to integers and reduced with exact cross-multiplication;
-    no sparse bookkeeping is shared with `sparse_nullspace`.
-    """
-    echelon: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for raw in matrix:
-        row = _integerize(raw)
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        # eliminate known pivots
-        for prow, pcol in zip(echelon, pivot_cols):
-            if row[pcol]:
-                a, b = prow[pcol], row[pcol]
-                row = [a * rv - b * pv for rv, pv in zip(row, prow)]
-        if not any(row):
-            continue
-        col = next(i for i, v in enumerate(row) if v)
-        g = 0
-        for v in row:
-            g = gcd(g, abs(v))
-        if g > 1:
-            row = [v // g for v in row]
-        if row[col] < 0:
-            row = [-v for v in row]
-        # back-eliminate the new pivot from earlier rows
-        for k, (prow, pcol) in enumerate(zip(echelon, pivot_cols)):
-            if prow[col]:
-                a, b = row[col], prow[col]
-                newrow = [a * pv - b * rv for pv, rv in zip(prow, row)]
-                g = 0
-                for v in newrow:
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    newrow = [v // g for v in newrow]
-                if newrow[pcol] < 0:
-                    newrow = [-v for v in newrow]
-                echelon[k] = newrow
-        # keep rows ordered by pivot column
-        insert_at = sum(1 for pc in pivot_cols if pc < col)
-        echelon.insert(insert_at, row)
-        pivot_cols.insert(insert_at, col)
-
-    pivot_set = set(pivot_cols)
-    basis: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for prow, pcol in zip(echelon, pivot_cols):
-            if prow[free]:
-                vec[pcol] = Fraction(-prow[free], prow[pcol])
         basis.append(vec)
     return basis

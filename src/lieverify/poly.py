@@ -8,6 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .linalg import axpy
+
 Scalar = Union[int, Fraction]
 
 # monomial key: (exponent of m, exponent of n)
@@ -20,15 +22,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                val = Fraction(val)
-                if val:
-                    clean[key] = clean.get(key, Fraction(0)) + val
-                    if not clean[key]:
-                        del clean[key]
-        self.coeffs = clean
+        self.coeffs: dict[Monomial, Fraction] = axpy(
+            {}, {key: Fraction(val) for key, val in (coeffs or {}).items()}
+        )
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
@@ -63,14 +59,8 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.coeffs.get((0, 0), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((em + en for em, en in self.coeffs), default=0)
-
     def __add__(self, other: "Poly") -> "Poly":
-        merged = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            merged[key] = merged.get(key, Fraction(0)) + val
-        return Poly(merged)
+        return Poly(axpy(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -83,9 +73,7 @@ class Poly:
             return Poly({key: val * other for key, val in self.coeffs.items()})
         out: dict[Monomial, Fraction] = {}
         for (am, an), ac in self.coeffs.items():
-            for (bm, bn), bc in other.coeffs.items():
-                key = (am + bm, an + bn)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
+            axpy(out, {(am + bm, an + bn): bc for (bm, bn), bc in other.coeffs.items()}, ac)
         return Poly(out)
 
     __rmul__ = __mul__

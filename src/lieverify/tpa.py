@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (
-    CENTRAL,
     AlgebraSpec,
     BasisSymbol,
     BracketRule,
@@ -27,9 +26,13 @@ from .core import (
     StructureError,
     Violation,
     Report,
+    _as_element,
     bracket,
+    eval_rule,
+    index_rules,
 )
 from .derivations import derivation_residual
+from .linalg import axpy
 from .poly import Poly
 
 
@@ -47,24 +50,8 @@ class ProductSpec:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fams = {f.name: f for f in self.algebra.families}
-        seen = set()
-        for rule in self.rules:
-            for side in (rule.left, rule.right):
-                if side not in fams:
-                    raise StructureError(f"product rule uses undeclared family {side!r}")
-                if fams[side].lattice == CENTRAL:
-                    raise StructureError("central generators cannot head a product rule")
-            key = frozenset((rule.left, rule.right))
-            if key in seen:
-                raise StructureError(
-                    f"duplicate product rule for pair ({rule.left}, {rule.right})"
-                )
-            seen.add(key)
-            self._pair[key] = rule
-            for term in rule.terms:
-                if term.target not in fams:
-                    raise StructureError(f"product targets undeclared family {term.target!r}")
+        families = {f.name: f for f in self.algebra.families}
+        self._pair.update(index_rules(families, self.rules, "product"))
 
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
         return self._pair.get(frozenset((left, right)))
@@ -74,31 +61,8 @@ def _eval_product_rule(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """Evaluate the stored rule with x in the left slot (no caching)."""
-    spec = prod.algebra
-    result: dict[BasisSymbol, Fraction] = {}
-    if x.twice is None or y.twice is None:
-        return result
     rule = prod.rule_for(x.family, y.family)
-    if rule is None:
-        return result
-    if rule.left == x.family and (rule.right == y.family or rule.left == rule.right):
-        mv, nv = spec.rule_var(x), spec.rule_var(y)
-    else:
-        mv, nv = spec.rule_var(y), spec.rule_var(x)
-    for term in rule.terms:
-        if term.delta is not None and not term.delta.fires(mv, nv):
-            continue
-        coeff = term.coeff.evaluate(mv, nv)
-        if not coeff:
-            continue
-        fam = spec.family(term.target)
-        if fam.lattice == CENTRAL:
-            sym = BasisSymbol(term.target, None)
-        else:
-            half = 1 if fam.lattice == "half" else 0
-            sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + half)
-        result[sym] = result.get(sym, Fraction(0)) + coeff
-    return {s: c for s, c in result.items() if c}
+    return {} if rule is None else eval_rule(prod.algebra, rule, x, y, antisymmetric=False)
 
 
 def product_symbols(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, Fraction]:
@@ -114,16 +78,13 @@ def product_symbols(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol) -> dict[B
 
 
 def product(prod: ProductSpec, x, y) -> Element:
-    if isinstance(x, BasisSymbol):
-        x = Element({x: Fraction(1)})
-    if isinstance(y, BasisSymbol):
-        y = Element({y: Fraction(1)})
-    out = Element()
+    x = _as_element(x)
+    y = _as_element(y)
+    acc: dict[BasisSymbol, Fraction] = {}
     for sx, cx in x.items():
         for sy, cy in y.items():
-            for sym, coeff in product_symbols(prod, sx, sy).items():
-                out = out + Element({sym: coeff * cx * cy})
-    return out
+            axpy(acc, product_symbols(prod, sx, sy), cx * cy)
+    return Element(acc)
 
 
 def theorem_product(
@@ -158,16 +119,12 @@ def theorem_product(
     return ProductSpec(spec, tuple(rules))
 
 
-def _window_symbols(prod: ProductSpec, bound2: int) -> list[BasisSymbol]:
-    return list(prod.algebra.basis_symbols(bound2, include_central=True))
-
-
 def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     """Products are stored once per unordered pair, so x*y == y*x holds
     by construction; the remaining content is that each rule evaluates
     identically with its two arguments exchanged."""
     violations = []
-    symbols = _window_symbols(prod, bound2)
+    symbols = list(prod.algebra.basis_symbols(bound2))
     checked = 0
     for i, x in enumerate(symbols):
         for y in symbols[i:]:
@@ -183,7 +140,7 @@ def check_commutative(prod: ProductSpec, bound2: int) -> Report:
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
     violations = []
-    symbols = _window_symbols(prod, bound2)
+    symbols = list(prod.algebra.basis_symbols(bound2))
     checked = 0
     for i, x in enumerate(symbols):
         for j, y in enumerate(symbols[i:], start=i):
@@ -207,7 +164,7 @@ def compatibility_residual(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z:
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     violations = []
-    symbols = _window_symbols(prod, bound2)
+    symbols = list(prod.algebra.basis_symbols(bound2))
     checked = 0
     for i, x in enumerate(symbols):
         for y in symbols[i + 1 :]:
@@ -238,11 +195,9 @@ def left_mult_derivation(
     By the transposed-Poisson compatibility law this is a 1/2-derivation
     of the bracket; feed the table to ``derivation_residual`` to verify.
     """
-    if isinstance(z, BasisSymbol):
-        z = Element({z: Fraction(1)})
     table = {}
-    for sym in _window_symbols(prod, bound2):
-        image = product(prod, z, Element({sym: Fraction(1)}))
+    for sym in prod.algebra.basis_symbols(bound2):
+        image = product(prod, z, sym)
         if image:
             table[sym] = image
     return table
@@ -250,12 +205,9 @@ def left_mult_derivation(
 
 def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:
     """Check that left multiplication by z is a 1/2-derivation."""
-    if isinstance(z, BasisSymbol):
-        z = Element({z: Fraction(1)})
     # evaluate z*s lazily: bracket outputs can fall outside a fixed table
-    zz = z
-    table = lambda s: product(prod, zz, Element({s: Fraction(1)}))
-    symbols = _window_symbols(prod, bound2)
+    table = lambda s: product(prod, z, s)
+    symbols = list(prod.algebra.basis_symbols(bound2))
     violations = []
     checked = 0
     for i, x in enumerate(symbols):

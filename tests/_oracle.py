@@ -1,15 +1,89 @@
 """Dense cross-check helpers shared by the solver and acceptance tests.
 
-Deliberately reimplements the interior-dimension computation on top of the
-dense integer Gauss-Jordan oracle so it shares no sparse bookkeeping with
-the production path.
+`dense_nullspace` is a textbook fraction-free Gauss-Jordan on a dense
+integer matrix, kept deliberately separate from the package's sparse
+elimination.  The interior-dimension computation is reimplemented on top
+of it so it shares no sparse bookkeeping with the production path.
 """
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
-from lieverify import linalg
 from lieverify.derivations import _is_core, assemble_system
 
 F = Fraction
+
+
+def _integerize(row: Sequence[Fraction]) -> list[int]:
+    denom = 1
+    for v in row:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+def dense_nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis by dense integer Gauss-Jordan (the cross-check oracle).
+
+    Rows are cleared to integers and reduced with exact cross-multiplication;
+    no sparse bookkeeping is shared with `sparse_nullspace`.
+    """
+    echelon: list[list[int]] = []
+    pivot_cols: list[int] = []
+    for raw in matrix:
+        row = _integerize(raw)
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        # eliminate known pivots
+        for prow, pcol in zip(echelon, pivot_cols):
+            if row[pcol]:
+                a, b = prow[pcol], row[pcol]
+                row = [a * rv - b * pv for rv, pv in zip(row, prow)]
+        if not any(row):
+            continue
+        col = next(i for i, v in enumerate(row) if v)
+        g = 0
+        for v in row:
+            g = gcd(g, abs(v))
+        if g > 1:
+            row = [v // g for v in row]
+        if row[col] < 0:
+            row = [-v for v in row]
+        # back-eliminate the new pivot from earlier rows
+        for k, (prow, pcol) in enumerate(zip(echelon, pivot_cols)):
+            if prow[col]:
+                a, b = row[col], prow[col]
+                newrow = [a * pv - b * rv for pv, rv in zip(prow, row)]
+                g = 0
+                for v in newrow:
+                    g = gcd(g, abs(v))
+                if g > 1:
+                    newrow = [v // g for v in newrow]
+                if newrow[pcol] < 0:
+                    newrow = [-v for v in newrow]
+                echelon[k] = newrow
+        # keep rows ordered by pivot column
+        insert_at = sum(1 for pc in pivot_cols if pc < col)
+        echelon.insert(insert_at, row)
+        pivot_cols.insert(insert_at, col)
+
+    pivot_set = set(pivot_cols)
+    basis: list[list[Fraction]] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for prow, pcol in zip(echelon, pivot_cols):
+            if prow[free]:
+                vec[pcol] = Fraction(-prow[free], prow[pcol])
+        basis.append(vec)
+    return basis
 
 
 def dense_rank(rows):
@@ -39,7 +113,7 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     unknowns, rows = assemble_system(spec, g2, window, delta)
     n = len(unknowns)
     dense = [[row.get(c, F(0)) for c in range(n)] for row in rows]
-    vectors = linalg.dense_nullspace(dense, n)
-    core_cols = [i for i, u in enumerate(unknowns) if _is_core(spec, u, window.n_core2)]
+    vectors = dense_nullspace(dense, n)
+    core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     projections = [[v[c] for c in core_cols] for v in vectors]
     return dense_rank(projections)

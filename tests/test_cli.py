@@ -70,6 +70,16 @@ class TestValidate:
         assert code == 2
         assert "line 2" in err
 
+    def test_huge_exponent_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "power.liealg"
+        path.write_text(
+            "algebra p\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = (m+n)^1000000000*L(m+n)\n"
+        )
+        code, _, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "line 3, col 27: exponent" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, ["validate", "/nonexistent/x.liealg"])
         assert code == 2

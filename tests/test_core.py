@@ -21,7 +21,7 @@ from lieverify import (
     check_skew,
     jacobi_residual,
 )
-from lieverify.core import format_index2, format_symbol
+from lieverify.core import eval_rule, format_index2, format_symbol
 from lieverify.poly import M, N, ONE
 
 
@@ -116,6 +116,17 @@ class TestBracket:
         x = spec.symbol("N", 1)
         y = spec.symbol("M", 2)
         assert bracket(spec, x, y) == -bracket(spec, y, x)
+
+    @pytest.mark.parametrize("antisymmetric, sign", [(True, -1), (False, 1)])
+    def test_eval_rule_orientation(self, antisymmetric, sign):
+        fams = (Family("A", "integer"), Family("B", "integer"))
+        rule = BracketRule("A", "B", (BracketTerm(2 * M + N, "A"),))
+        spec = AlgebraSpec("ab", fams, (rule,))
+        x, y = spec.symbol("A", 1), spec.symbol("B", 3)
+        # left slot: m = 1, n = 3, so 2m + n = 5 at A(4)
+        assert eval_rule(spec, rule, x, y, antisymmetric) == {BasisSymbol("A", 8): 5}
+        # reversed pair: variables swap back, the sign flips only for brackets
+        assert eval_rule(spec, rule, y, x, antisymmetric) == {BasisSymbol("A", 8): 5 * sign}
 
     def test_unknown_family_raises(self):
         spec = _witt()

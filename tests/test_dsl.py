@@ -122,6 +122,11 @@ def test_canonical_orientation_flip():
         ("algebra a\nfamily L integer degree-offset 0\nbracket L(m) L(n) = (k)*L(m+n)", "parameter"),
         ("algebra a\nfamily L integer degree-offset 0\nbracket L(m) L(n) = (n-m)", "target"),
         ("algebra a\ncentral C\nbracket C(m) C(n) = 0", "central"),
+        (
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = (m+n)^1000000000*L(m+n)",
+            "exponent 1000000000 exceeds the maximum",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from lieverify import linalg
 
+from _oracle import dense_nullspace
+
 F = Fraction
 
 
@@ -16,6 +18,21 @@ def _to_sparse(dense):
 def _check_kernel(dense, vec):
     for row in dense:
         assert sum(row[c] * val for c, val in vec.items()) == 0
+
+
+def test_axpy_mutates_and_returns_acc():
+    acc = {0: F(1), 1: F(2)}
+    out = linalg.axpy(acc, {1: F(1), 2: F(3)}, F(1, 2))
+    assert out is acc
+    assert acc == {0: F(1), 1: F(5, 2), 2: F(3, 2)}
+
+
+def test_axpy_pops_cancelling_entry():
+    acc = {0: F(1), 1: F(2)}
+    linalg.axpy(acc, {1: F(1)}, -2)
+    assert acc == {0: F(1)}
+    linalg.axpy(acc, {0: F(-1)})
+    assert acc == {}
 
 
 def test_simple_kernel():
@@ -63,7 +80,7 @@ def test_dense_nullspace_matches_sparse_on_random_systems():
         ]
         sparse = _to_sparse(dense)
         sv = linalg.sparse_nullspace(sparse, ncols)
-        dv = linalg.dense_nullspace(dense, ncols)
+        dv = dense_nullspace(dense, ncols)
         assert len(sv) == len(dv)
         for v in sv:
             _check_kernel(dense, v)
