@@ -34,9 +34,15 @@ from .core import (
 )
 from .poly import Poly
 
-# Largest exponent accepted after `^`: powers are expanded by repeated
-# multiplication, so an unbounded exponent would hang the parser.
+# Largest exponent accepted after `^`, and largest degree of any power:
+# powers are expanded by repeated multiplication, so an unbounded exponent,
+# or a nested power such as ((m+n+1)^16)^16, would hang the parser.
 MAX_EXPONENT = 16
+# Largest estimated bit size of a power's coefficients, checked before the
+# power is expanded: ((2^16)^16)^16 keeps degree 0 but grows without limit.
+MAX_POWER_BITS = 4096
+# Longest integer literal: int() refuses strings past 4 300 digits.
+MAX_DIGITS = 1000
 
 
 class DslError(ValueError):
@@ -88,6 +94,12 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise DslError(
+                    f"integer literal of {j - i} digits exceeds the maximum {MAX_DIGITS}",
+                    line_no,
+                    i + 1,
+                )
             tokens.append(Token("NUMBER", text[i:j], line_no, i + 1))
             i = j
             continue
@@ -200,11 +212,32 @@ class _PolyParser:
             num = self.s.next()
             if num.kind != "NUMBER":
                 raise DslError("exponent must be a nonnegative integer", num.line, num.col)
-            if int(num.text) > MAX_EXPONENT:
+            k = int(num.text)
+            if k > MAX_EXPONENT:
                 raise DslError(
                     f"exponent {num.text} exceeds the maximum {MAX_EXPONENT}", num.line, num.col
                 )
-            return poly ** int(num.text)
+            degree = max((em + en for em, en in poly.coeffs), default=0)
+            if k * degree > MAX_EXPONENT:
+                raise DslError(
+                    f"power of degree {k * degree} exceeds the maximum {MAX_EXPONENT}",
+                    num.line,
+                    num.col,
+                )
+            # coefficient size of poly^k, estimated as k * bits(terms * largest part)
+            size = max(
+                (max(c.numerator.bit_length(), c.denominator.bit_length())
+                 for c in poly.coeffs.values()),
+                default=0,
+            )
+            bits = k * (size + len(poly.coeffs).bit_length())
+            if bits > MAX_POWER_BITS:
+                raise DslError(
+                    f"power of about {bits} bits exceeds the maximum {MAX_POWER_BITS}",
+                    num.line,
+                    num.col,
+                )
+            return poly ** k
         return poly
 
 

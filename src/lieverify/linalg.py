@@ -4,6 +4,16 @@ Vectors are dicts key -> Fraction with no zero entries.  `axpy` is the one
 accumulation kernel every module uses; `rref` is incremental reduced row
 echelon form on sparse rows (dict column -> Fraction) with deterministic
 lowest-column pivoting, and `sparse_nullspace` reads a kernel basis off it.
+
+Before any rational arithmetic `rref` peels the columns that singleton rows
+force to zero, by propagation over the row supports alone (the singleton
+step of structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
+A row with one nonzero entry at column c forces x_c = 0, so the unit row
+e_c lies in the row space; striking c from every other row may leave a new
+singleton.  Since rows have no zero entries, the row space is spanned by
+{e_c : c dead} together with the live parts of the rows, and because RREF
+is unique, RREF(rows) is {e_c : c dead} joined with RREF(live parts): the
+output is exactly what elimination over every row would give.
 """
 from __future__ import annotations
 
@@ -50,10 +60,50 @@ def reduce_row(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
     return row
 
 
+def _forced_zero(rows: list[SparseRow]) -> set[int]:
+    """Columns that singleton propagation over the row supports forces to zero.
+
+    Each row keeps only its count of live columns and the sum of their
+    indices, so a row whose count drops to 1 names its last column by the sum.
+    """
+    count = [len(row) for row in rows]
+    total = [sum(row) for row in rows]
+    touching: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            touching.setdefault(col, []).append(i)
+    stack = [i for i, n in enumerate(count) if n == 1]
+    dead: set[int] = set()
+    while stack:
+        i = stack.pop()
+        if count[i] != 1:  # its last column died through another row
+            continue
+        col = total[i]
+        dead.add(col)
+        for j in touching[col]:
+            count[j] -= 1
+            total[j] -= col
+            if count[j] == 1:
+                stack.append(j)
+    return dead
+
+
 def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Reduced row echelon form of the row space, as pivot column -> row."""
+    """Reduced row echelon form of the row space, as pivot column -> row.
+
+    Rows must hold no zero entries.  Columns forced to zero by singleton
+    rows (`_forced_zero`) become unit pivot rows {c: 1} without any rational
+    arithmetic; only the live parts of the remaining rows are eliminated.
+    RREF is unique, so the result equals elimination over the full rows.
+    """
+    rows = list(rows)
+    dead = _forced_zero(rows)
     pivots: dict[int, SparseRow] = {}
     for raw in rows:
+        if dead:
+            raw = {c: v for c, v in raw.items() if c not in dead}
+            if not raw:
+                continue
         row = reduce_row(raw, pivots)
         if not row:
             continue
@@ -66,6 +116,8 @@ def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
             if f is not None:
                 axpy(prow, row, -f)
         pivots[col] = row
+    for col in dead:
+        pivots[col] = {col: Fraction(1)}
     return pivots
 
 

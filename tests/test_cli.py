@@ -80,6 +80,24 @@ class TestValidate:
         assert code == 2
         assert "line 3, col 27: exponent" in err
 
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            ("(((m+n+1)^16)^16)^16*L(m+n)", "line 3, col 35: power of degree"),
+            ("((((2^16)^16)^16)^16)^16*L(m+n)", "line 3, col 35: power of about"),
+            ("7" * 5000 + "*L(m+n)", "line 3, col 21: integer literal"),
+        ],
+        ids=["nested-power", "nested-constant-power", "long-literal"],
+    )
+    def test_oversized_polynomial_exit_2(self, capsys, tmp_path, rhs, message):
+        path = tmp_path / "big.liealg"
+        path.write_text(
+            f"algebra p\nfamily L integer degree-offset 0\nbracket L(m) L(n) = {rhs}\n"
+        )
+        code, _, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert message in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, ["validate", "/nonexistent/x.liealg"])
         assert code == 2

@@ -127,6 +127,21 @@ def test_canonical_orientation_flip():
             "bracket L(m) L(n) = (m+n)^1000000000*L(m+n)",
             "exponent 1000000000 exceeds the maximum",
         ),
+        (
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = (((m+n+1)^16)^16)^16*L(m+n)",
+            "line 3, col 35: power of degree 256 exceeds the maximum",
+        ),
+        (
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = ((((2^16)^16)^16)^16)^16*L(m+n)",
+            "line 3, col 35: power of about 4128 bits exceeds the maximum",
+        ),
+        (
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = " + "7" * 5000 + "*L(m+n)",
+            "line 3, col 21: integer literal of 5000 digits exceeds the maximum",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -22,6 +22,10 @@ CASES = [
          "--degrees", "-1..1", "--neq", "5", "--ncore", "2"],
     ),
     (
+        "solve_so_hat.json",
+        ["solve-deriv", "builtin:so_hat", "--degrees", "-1..1", "--neq", "5", "--ncore", "2"],
+    ),
+    (
         "solve_Ltilde4.json",
         ["solve-deriv", "builtin:Ltilde4?lambda=1,mu=1/2",
          "--degrees", "-1/2..1/2", "--neq", "4", "--ncore", "1"],

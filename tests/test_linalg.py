@@ -102,3 +102,59 @@ def test_rank_nullity(matrix):
     sparse = _to_sparse(dense)
     vecs = linalg.sparse_nullspace(sparse, 5)
     assert linalg.rank(sparse) + len(vecs) == 5
+
+
+def _dense_rows(rows, ncols):
+    return [[row.get(c, F(0)) for c in range(ncols)] for row in rows]
+
+
+def _assert_fully_reduced(pivots):
+    for pcol, prow in pivots.items():
+        assert min(prow) == pcol and prow[pcol] == 1
+        assert all(v for v in prow.values())
+        assert not any(other in prow for other in pivots if other != pcol)
+
+
+_NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _singleton_chain_systems(draw):
+    """A chain {c0}, {c0,c1}, {c1,c2}, ... mixed with random rows, shuffled."""
+    ncols = draw(st.integers(2, 8))
+    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(1, ncols))]
+    rows = [{chain[0]: draw(_NONZERO)}]
+    rows += [{a: draw(_NONZERO), b: draw(_NONZERO)} for a, b in zip(chain, chain[1:])]
+    rows += draw(
+        st.lists(
+            st.dictionaries(st.integers(0, ncols - 1), _NONZERO, min_size=1, max_size=4),
+            max_size=5,
+        )
+    )
+    return draw(st.permutations(rows)), ncols, set(chain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_singleton_chain_systems())
+def test_peeled_rref_matches_dense_oracle(system):
+    rows, ncols, chain = system
+    dead = linalg._forced_zero(list(rows))
+    assert chain <= dead
+    pivots = linalg.rref(rows)
+    for col in dead:
+        assert pivots[col] == {col: F(1)}
+    _assert_fully_reduced(pivots)
+    sparse = [
+        [vec.get(c, F(0)) for c in range(ncols)] for vec in linalg.sparse_nullspace(rows, ncols)
+    ]
+    assert sparse == dense_nullspace(_dense_rows(rows, ncols), ncols)
+
+
+def test_singleton_and_bidiagonal_rows_kill_every_column():
+    ncols = 7
+    rows = [{c: F(c + 1), c + 1: F(-2, c + 1)} for c in range(ncols - 1)]
+    rows.append({ncols - 1: F(3)})  # the singleton comes last
+    assert linalg._forced_zero(rows) == set(range(ncols))
+    assert linalg.rref(rows) == {c: {c: F(1)} for c in range(ncols)}
+    assert linalg.rank(rows) == ncols
+    assert linalg.sparse_nullspace(rows, ncols) == []
