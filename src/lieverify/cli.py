@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import catalog, dsl, tpa
 from .core import (
@@ -53,29 +53,41 @@ def _parse_fraction(text: str, what: str = "value") -> Fraction:
         raise UsageError(f"invalid {what} {text!r}: expected a rational like 3 or -1/2") from exc
 
 
-def _parse_params(query: str) -> dict[str, Fraction]:
-    params: dict[str, Fraction] = {}
-    for chunk in query.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise UsageError(f"malformed parameter {chunk!r}: expected name=value")
-        name, _, value = chunk.partition("=")
-        params[name.strip()] = _parse_fraction(value.strip(), f"parameter {name.strip()!r}")
-    return params
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from exc
+
+
+def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[tuple[str, str]]:
+    """The (key, value) halves of comma-separated `key<sep>value` entries."""
+    for item in items:
+        for chunk in item.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            key, found, value = chunk.partition(sep)
+            if not found:
+                raise UsageError(f"malformed {what} {chunk!r}: expected {form}")
+            yield key.strip(), value.strip()
+
+
+def _parse_params(items: Sequence[str]) -> dict[str, Fraction]:
+    return {
+        name: _parse_fraction(value, f"parameter {name!r}")
+        for name, value in _entries(items, "=", "parameter", "name=value")
+    }
 
 
 def load_algebra(src: str, extra_params: Sequence[str] = ()) -> AlgebraSpec:
-    params: dict[str, Fraction] = {}
-    for item in extra_params:
-        params.update(_parse_params(item))
+    params = _parse_params(extra_params)
     if src.startswith("builtin:"):
         rest = src[len("builtin:"):]
         name, _, query = rest.partition("?")
         if not name:
             raise UsageError("empty builtin algebra name")
-        params.update(_parse_params(query))
+        params.update(_parse_params([query]))
         return catalog.builtin(name, params or None)
     path = Path(src)
     if not path.is_file():
@@ -103,34 +115,17 @@ def _parse_degrees(spec_text: str, step: str) -> list[int]:
 
 
 def _parse_expect(text: str) -> dict[int, int]:
-    expected: dict[int, int] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise UsageError(f"malformed --expect entry {chunk!r}: expected degree=dim")
-        deg, _, dim = chunk.partition("=")
-        expected[_doubled(_parse_fraction(deg, "degree"), "degree")] = int(dim)
-    return expected
+    return {
+        _doubled(_parse_fraction(deg, "degree"), "degree"): _parse_int(dim, "--expect dim")
+        for deg, dim in _entries([text], "=", "--expect entry", "degree=dim")
+    }
 
 
 def _parse_support(items: Sequence[str], what: str) -> dict[int, Fraction]:
-    support: dict[int, Fraction] = {}
-    for item in items:
-        for chunk in item.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            off, sep, val = chunk.partition(":")
-            if not sep:
-                raise UsageError(f"malformed {what} entry {chunk!r}: expected offset:value")
-            try:
-                key = int(off)
-            except ValueError as exc:
-                raise UsageError(f"{what} offset must be an integer, got {off!r}") from exc
-            support[key] = _parse_fraction(val, f"{what} value")
-    return support
+    return {
+        _parse_int(off, f"{what} offset"): _parse_fraction(val, f"{what} value")
+        for off, val in _entries(items, ":", f"{what} entry", "offset:value")
+    }
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -244,8 +239,8 @@ def cmd_check_tpa(args) -> int:
         if not path.is_file():
             raise UsageError(f"no such product file: {args.product}")
         prod = tpa.parse_products(path.read_text(), spec)
-    bound2 = 2 * args.neq
-    reports = tpa.check_tpa(prod, bound2)
+    window = Window(2 * args.neq, 0)
+    reports = tpa.check_tpa(prod, window.n_eq2)
     if args.format == "json":
         _emit(_dump_json(_reports_dict(spec, reports)), args.out)
     else:

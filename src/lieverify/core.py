@@ -9,10 +9,11 @@ antisymmetry.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .linalg import axpy
 from .poly import Poly
@@ -275,9 +276,6 @@ class AlgebraSpec:
         except KeyError:
             raise StructureError(f"unknown family {name!r} in algebra {self.name}") from None
 
-    def has_family(self, name: str) -> bool:
-        return name in self._fam
-
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
         return self._pair.get(frozenset((left, right)))
 
@@ -392,30 +390,46 @@ def _as_element(x: Element | BasisSymbol) -> Element:
     return x
 
 
-def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
-    """Bilinear extension of the bracket rules to arbitrary elements."""
-    x = _as_element(x)
+def bilinear(table: Callable, owner, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
+    """Bilinear extension of the basis-pair table `table(owner, sx, sy)`."""
     y = _as_element(y)
     acc: dict[BasisSymbol, Fraction] = {}
-    for sx, cx in x.items():
-        spec.family(sx.family)  # raises StructureError on unknown families
+    for sx, cx in _as_element(x).items():
         for sy, cy in y.items():
-            axpy(acc, bracket_symbols(spec, sx, sy), cx * cy)
+            axpy(acc, table(owner, sx, sy), cx * cy)
     return Element(acc)
+
+
+def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
+    """Bilinear extension of the bracket rules to arbitrary elements."""
+    return bilinear(bracket_symbols, spec, x, y)
+
+
+def window_check(
+    check: str,
+    tuples: Iterable[tuple[BasisSymbol, ...]],
+    residual: Callable[..., Element | Mapping[BasisSymbol, Fraction]],
+    message: str,
+) -> Report:
+    """Count `tuples` and record a violation for each nonzero residual(*t)."""
+    violations = []
+    count = 0
+    for t in tuples:
+        count += 1
+        r = residual(*t)
+        if r:
+            violations.append(Violation(t, Element(r), message))
+    return Report(check, tuple(violations), count)
 
 
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     """Verify [x,y] + [y,x] = 0 for all basis pairs within the window."""
-    symbols = list(spec.basis_symbols(window.n_eq2))
-    violations = []
-    count = 0
-    for i, x in enumerate(symbols):
-        for y in symbols[i:]:
-            count += 1
-            acc = axpy(dict(bracket_symbols(spec, x, y)), bracket_symbols(spec, y, x))
-            if acc:
-                violations.append(Violation((x, y), Element(acc), "skew-symmetry broken"))
-    return Report("skew", tuple(violations), count)
+    return window_check(
+        "skew",
+        itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
+        lambda x, y: axpy(dict(bracket_symbols(spec, x, y)), bracket_symbols(spec, y, x)),
+        "skew-symmetry broken",
+    )
 
 
 def jacobi_residual(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol) -> Element:
@@ -433,15 +447,12 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     Given bilinearity and antisymmetry, residuals with a repeated symbol
     vanish identically, so distinct triples suffice.
     """
-    symbols = list(spec.basis_symbols(window.n_eq2))
-    violations = []
-    count = 0
-    for x, y, z in itertools.combinations(symbols, 3):
-        count += 1
-        residual = jacobi_residual(spec, x, y, z)
-        if residual:
-            violations.append(Violation((x, y, z), residual, "Jacobi identity broken"))
-    return Report("jacobi", tuple(violations), count)
+    return window_check(
+        "jacobi",
+        itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
+        functools.partial(jacobi_residual, spec),
+        "Jacobi identity broken",
+    )
 
 
 def check_grading(spec: AlgebraSpec, window: Window) -> Report:

@@ -14,6 +14,7 @@ boundary artifacts.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -265,7 +266,6 @@ def solve_degree(
     g2: int,
     window: Window,
     delta: Fraction = Fraction(1, 2),
-    verify_residual: bool = True,
 ) -> DegreeResult:
     unknowns, rows = assemble_system(spec, g2, window, delta)
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
@@ -276,21 +276,21 @@ def solve_degree(
     checked = True
     symbols = list(spec.basis_symbols(window.n_eq2))
     for full in basis:
-        if verify_residual:
-            images: dict[BasisSymbol, dict[BasisSymbol, Fraction]] = {}
-            for c, v in full.items():
-                src, tgt = unknowns[c]
-                images.setdefault(src, {})[tgt] = v
-            table = {src: Element(terms) for src, terms in images.items()}
-            for ix, x in enumerate(symbols):
-                for y in symbols[ix + 1 :]:
-                    if derivation_residual(spec, table, x, y, delta):
-                        checked = False
+        images: dict[BasisSymbol, dict[BasisSymbol, Fraction]] = {}
+        for c, v in full.items():
+            src, tgt = unknowns[c]
+            images.setdefault(src, {})[tgt] = v
+        table = {src: Element(terms) for src, terms in images.items()}
+        if any(
+            derivation_residual(spec, table, x, y, delta)
+            for x, y in itertools.combinations(symbols, 2)
+        ):
+            checked = False
         interior = {
             unknowns[c]: v for c, v in full.items() if _is_core(unknowns[c], window.n_core2)
         }
         generators.append(Generator(_describe(interior), interior))
-    return DegreeResult(g2, len(basis), generators, checked and verify_residual)
+    return DegreeResult(g2, len(basis), generators, checked)
 
 
 def solve_derivations(
@@ -298,9 +298,8 @@ def solve_derivations(
     degrees2: Sequence[int],
     window: Window,
     delta: Fraction = Fraction(1, 2),
-    verify_residual: bool = True,
 ) -> DerivationReport:
     report = DerivationReport(spec.name, dict(spec.params), window, delta)
     for g2 in sorted(set(degrees2)):
-        report.degrees.append(solve_degree(spec, g2, window, delta, verify_residual))
+        report.degrees.append(solve_degree(spec, g2, window, delta))
     return report

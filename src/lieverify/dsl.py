@@ -366,8 +366,8 @@ def _parse_pair_header(stream: _TokenStream, families: dict[str, Family], keywor
 class _ParsedBody:
     name: str
     families: list[Family]
-    rules: list[tuple[str, str, list[BracketTerm], int]]  # + line number
-    products: list[tuple[str, str, list[BracketTerm], int]]
+    rules: list[BracketRule]
+    products: list[BracketRule]
 
 
 def _parse_body(
@@ -379,8 +379,8 @@ def _parse_body(
     name = ""
     families: dict[str, Family] = dict(known_families or {})
     order: list[Family] = list(families.values()) if known_families else []
-    rules: list[tuple[str, str, list[BracketTerm], int]] = []
-    products: list[tuple[str, str, list[BracketTerm], int]] = []
+    rules: list[BracketRule] = []
+    products: list[BracketRule] = []
     seen_pairs: set[frozenset] = set()
     seen_products: set[frozenset] = set()
     header_seen = False
@@ -447,7 +447,7 @@ def _parse_body(
                         f"duplicate rule for family pair ({left}, {right})", line_no, head.col
                     )
                 seen_pairs.add(key)
-                rules.append((left, right, terms, line_no))
+                rules.append(BracketRule(left, right, tuple(terms)))
             else:
                 if key in seen_products:
                     raise DslError(
@@ -456,7 +456,7 @@ def _parse_body(
                         head.col,
                     )
                 seen_products.add(key)
-                products.append((left, right, terms, line_no))
+                products.append(BracketRule(left, right, tuple(terms)))
         else:
             raise DslError(f"unknown statement {head.text!r}", line_no, head.col)
 
@@ -471,11 +471,8 @@ def parse_algebra(text: str, params: Mapping[str, Fraction] | None = None) -> Al
     body = _parse_body(text, params)
     if body.products:
         raise DslError("product statements are not allowed in an algebra definition", 1, 1)
-    rules = tuple(
-        BracketRule(left, right, tuple(terms)) for left, right, terms, _ in body.rules
-    )
     try:
-        return AlgebraSpec(body.name, tuple(body.families), rules, params)
+        return AlgebraSpec(body.name, tuple(body.families), tuple(body.rules), params)
     except StructureError as exc:
         raise DslError(str(exc), 1, 1) from exc
 

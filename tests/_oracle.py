@@ -1,15 +1,19 @@
-"""Dense cross-check helpers shared by the solver and acceptance tests.
+"""Independent cross-check helpers shared by the solver, TPA and acceptance tests.
 
 `dense_nullspace` is a textbook fraction-free Gauss-Jordan on a dense
 integer matrix, kept deliberately separate from the package's sparse
 elimination.  The interior-dimension computation is reimplemented on top
 of it so it shares no sparse bookkeeping with the production path.
+`compatibility_oracle` writes the transposed-Poisson law out term by term,
+beside the package's route through the 1/2-derivation residual.
 """
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from lieverify.core import bracket
 from lieverify.derivations import _is_core, assemble_system
+from lieverify.tpa import product
 
 F = Fraction
 
@@ -117,3 +121,10 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     projections = [[v[c] for c in core_cols] for v in vectors]
     return dense_rank(projections)
+
+
+def compatibility_oracle(prod, x, y, z):
+    """2*z*[x,y] - [z*x,y] - [x,z*y], formed as three separate elements."""
+    spec = prod.algebra
+    zxy = product(prod, z, bracket(spec, x, y)).scale(2)
+    return zxy - bracket(spec, product(prod, z, x), y) - bracket(spec, x, product(prod, z, y))

@@ -111,6 +111,13 @@ class TestValidate:
     def test_bad_usage_exit_2(self, capsys):
         code, _, _ = run(capsys, ["validate", "builtin:witt", "--neq", "pony"])
         assert code == 2
+        # a non-integer dim is a usage error, not a traceback with exit 1
+        code, _, err = run(capsys, [
+            "solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "4", "--ncore", "1",
+            "--expect", "0=x",
+        ])
+        assert code == 2
+        assert "--expect dim must be an integer, got 'x'" in err
 
 
 class TestSolveDeriv:
@@ -193,6 +200,15 @@ class TestCheckTpa:
             "check-tpa", "builtin:so_hat", "--product", str(path), "--alpha", "0:1",
         ])
         assert code == 2
+
+    def test_negative_neq_exit_2(self, capsys):
+        # like validate: a negative window is a usage error, not an empty check
+        for command in (["check-tpa", "builtin:Ltilde1?lambda=1,mu=1/4",
+                         "--product", "builtin:theorem", "--alpha", "0:1"],
+                        ["validate", "builtin:witt"]):
+            code, out, err = run(capsys, command + ["--neq", "-1"])
+            assert (code, out) == (2, "")
+            assert "window bounds must be nonnegative" in err
 
     def test_theorem_needs_lambda_one(self, capsys):
         code, _, _ = run(capsys, [

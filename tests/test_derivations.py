@@ -118,8 +118,9 @@ class TestSolve:
     def test_matches_dense_oracle(self, lt1):
         w = Window.displayed(4, 1)
         for g2 in (-2, -1, 0, 1, 2):
-            sparse = solve_degree(lt1, g2, w, verify_residual=False).interior_dim
-            assert sparse == oracle_interior_dim(lt1, g2, w)
+            result = solve_degree(lt1, g2, w)
+            assert result.residual_checked
+            assert result.interior_dim == oracle_interior_dim(lt1, g2, w)
 
     def test_report_dict_shape(self, so_hat):
         report = solve_derivations(so_hat, [0], Window.displayed(4, 1))

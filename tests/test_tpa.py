@@ -1,9 +1,12 @@
 """Transposed Poisson structures: theorem products, checks, serialization."""
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from _oracle import compatibility_oracle
 from lieverify import catalog
 from lieverify.core import BasisSymbol, BracketRule, BracketTerm, Element, StructureError
 from lieverify.derivations import derivation_residual
@@ -90,6 +93,33 @@ class TestChecks:
         res = compatibility_residual(bad, x, y, z)
         assert res == Element({BasisSymbol("M", 4): F(-2)})
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_compatibility_residual_matches_oracle_theorem(self, lt1, seed):
+        rng = random.Random(seed)
+        support = lambda: {t: F(rng.randint(-5, 5), rng.randint(1, 5)) for t in (-1, 0, 1)}
+        prod = theorem_product(lt1, support(), support())
+        assert self._nonzero_matching_oracle(prod, 4) == 0  # the law holds
+
+    def test_compatibility_residual_matches_oracle_negative(self):
+        so_hat = catalog.builtin("so_hat")
+        negative = ProductSpec(
+            so_hat, (BracketRule("L", "L", (BracketTerm(Poly.const(1), "M"),)),)
+        )
+        golden = Path(__file__).resolve().parent / "golden" / "broken_product.liealg"
+        for prod in (negative, parse_products(golden.read_text(), so_hat)):
+            assert self._nonzero_matching_oracle(prod, 4) > 0
+
+    @staticmethod
+    def _nonzero_matching_oracle(prod, bound2):
+        """Assert agreement on every ordered triple; count the nonzero residuals."""
+        nonzero = 0
+        symbols = list(prod.algebra.basis_symbols(bound2))
+        for x, y, z in itertools.product(symbols, repeat=3):
+            res = compatibility_residual(prod, x, y, z)
+            assert res == compatibility_oracle(prod, x, y, z), (x, y, z)
+            nonzero += bool(res)
+        return nonzero
+
     def test_asymmetric_product_rule_caught(self, lt1):
         bad = ProductSpec(
             lt1, (BracketRule("L", "L", (BracketTerm(Poly.var("n"), "M"),)),)
@@ -114,6 +144,24 @@ class TestLeftMultiplication:
         for z in lt1.basis_symbols(4):
             rep = check_left_mult(prod, z, 6)
             assert rep.passed, (z, rep.violations[:1])
+
+    def test_failure_reports_count_and_message(self):
+        # the so_hat negative control L*L = M: left multiplication by L(1)
+        # breaks the 1/2-derivation identity on 35 of the 231 pairs
+        so_hat = catalog.builtin("so_hat")
+        bad = ProductSpec(
+            so_hat, (BracketRule("L", "L", (BracketTerm(Poly.const(1), "M"),)),)
+        )
+        rep = check_left_mult(bad, so_hat.symbol("L", 1), 4)
+        assert (rep.check, rep.pairs_checked, len(rep.violations)) == (
+            "left-multiplication", 231, 35,
+        )
+        assert {v.message for v in rep.violations} == {
+            "left multiplication is not a 1/2-derivation"
+        }
+        first = rep.violations[0]
+        assert first.witness == (so_hat.symbol("L", -2), so_hat.symbol("L", -1))
+        assert first.residual == Element({so_hat.symbol("M", -2): F(1, 2)})
 
     def test_closure_via_residual_directly(self, lt1):
         prod = theorem_product(lt1, beta={0: F(1)})
