@@ -114,11 +114,16 @@ def _parse_degrees(spec_text: str, step: str) -> list[int]:
     return [_doubled(_parse_fraction(c, "degree"), "degree") for c in spec_text.split(",") if c]
 
 
-def _parse_expect(text: str) -> dict[int, int]:
-    return {
-        _doubled(_parse_fraction(deg, "degree"), "degree"): _parse_int(dim, "--expect dim")
-        for deg, dim in _entries([text], "=", "--expect entry", "degree=dim")
-    }
+def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:
+    expected: dict[int, int] = {}
+    for deg, dim in _entries([text], "=", "--expect entry", "degree=dim"):
+        g2 = _doubled(_parse_fraction(deg, "degree"), "degree")
+        if g2 in expected:
+            raise UsageError(f"--expect names degree {format_index2(g2)} twice")
+        if g2 not in degrees2:
+            raise UsageError(f"--expect degree {format_index2(g2)} is not in --degrees")
+        expected[g2] = _parse_int(dim, "--expect dim")
+    return expected
 
 
 def _parse_support(items: Sequence[str], what: str) -> dict[int, Fraction]:
@@ -195,15 +200,15 @@ def cmd_validate(args) -> int:
 def cmd_solve_deriv(args) -> int:
     spec = load_algebra(args.src, args.param)
     degrees2 = _parse_degrees(args.degrees, args.step)
+    expected = _parse_expect(args.expect, degrees2) if args.expect else None
     window = Window.displayed(args.neq, args.ncore, args.nunk)
     delta = _parse_fraction(args.delta, "--delta")
     report = solve_derivations(spec, degrees2, window, delta)
     payload = report.as_dict()
     mismatch: list[str] = []
-    if args.expect:
-        expected = _parse_expect(args.expect)
+    if expected is not None:
         for g2, dim in sorted(expected.items()):
-            actual = report.dims.get(g2)
+            actual = report.dims[g2]
             if actual != dim:
                 mismatch.append(
                     f"degree {format_index2(g2)}: expected dim {dim}, got {actual}"

@@ -15,6 +15,7 @@ boundary artifacts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -88,8 +89,17 @@ def assemble_system(
     window: Window,
     delta: Fraction = Fraction(1, 2),
 ) -> tuple[list[Unknown], list[linalg.SparseRow]]:
-    """Unknown list plus sparse residual rows over those unknowns."""
+    """Unknown list plus sparse residual rows over those unknowns.
+
+    With delta = p/q and `scale` the lcm of every rule coefficient's
+    denominator (so scale * c is an integer for every bracket value c), each
+    row is q*scale times the residual's row and holds `int` entries.  Scaling
+    a row keeps the row space, so the kernel and its RREF are unchanged.
+    """
     n_unk2 = window.resolve_nunk2(spec, g2)
+    scale = math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
+                       for c in term.coeff.coeffs.values()))
+    p, q = delta.numerator, delta.denominator
     unknowns = build_unknowns(spec, g2, window)
     # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
     image: dict[BasisSymbol, list[tuple[BasisSymbol, int]]] = {}
@@ -103,7 +113,7 @@ def assemble_system(
             if x.twice is None and y.twice is None:
                 continue  # central-central rows vanish identically
             # residual coefficients, keyed (output symbol, column)
-            acc: dict[tuple[BasisSymbol, int], Fraction] = {}
+            acc: dict[tuple[BasisSymbol, int], int] = {}
             for mid, coeff in bracket_symbols(spec, x, y).items():
                 if mid.twice is not None and abs(mid.twice) > n_unk2:
                     raise WindowError(
@@ -111,13 +121,15 @@ def assemble_system(
                         f"unknown window; increase nunk"
                     )
                 # sources with no degree-matched targets have zero image
-                axpy(acc, dict.fromkeys(image.get(mid, ()), coeff))
+                value = q * coeff.numerator * (scale // coeff.denominator)
+                axpy(acc, dict.fromkeys(image.get(mid, ()), value))
             for left, other, sign in ((x, y, 1), (y, x, -1)):
                 # [phi(left), other]; sign restores [other, phi(left)] order
-                factor = -delta * sign
+                factor = -p * sign
                 for tgt, column in image.get(left, ()):  # centrals may be absent
-                    out = bracket_symbols(spec, tgt, other)
-                    axpy(acc, {(sym, column): c for sym, c in out.items()}, factor)
+                    scaled = {(sym, column): c.numerator * (scale // c.denominator)
+                              for sym, c in bracket_symbols(spec, tgt, other).items()}
+                    axpy(acc, scaled, factor)
             by_output: dict[BasisSymbol, linalg.SparseRow] = {}
             for (sym, column), value in acc.items():
                 by_output.setdefault(sym, {})[column] = value

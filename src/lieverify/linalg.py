@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts key -> Fraction with no zero entries.  `axpy` is the one
-accumulation kernel every module uses; `rref` is incremental reduced row
-echelon form on sparse rows (dict column -> Fraction) with deterministic
-lowest-column pivoting, and `sparse_nullspace` reads a kernel basis off it.
+Vectors are dicts key -> Fraction (or int) with no zero entries.  `axpy` is
+the one accumulation kernel every module uses; `rref` is incremental reduced
+row echelon form on sparse rows (dict column -> int or Fraction) with
+deterministic lowest-column pivoting, and `sparse_nullspace` reads a kernel
+basis off it.  Both always return Fraction entries.
 
 Before any rational arithmetic `rref` peels the columns that singleton rows
 force to zero, by propagation over the row supports alone (the singleton
@@ -91,9 +92,10 @@ def _forced_zero(rows: list[SparseRow]) -> set[int]:
 def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """Reduced row echelon form of the row space, as pivot column -> row.
 
-    Rows must hold no zero entries.  Columns forced to zero by singleton
-    rows (`_forced_zero`) become unit pivot rows {c: 1} without any rational
-    arithmetic; only the live parts of the remaining rows are eliminated.
+    Rows hold int or Fraction entries, none zero; the returned rows hold
+    Fractions.  Columns forced to zero by singleton rows (`_forced_zero`)
+    become unit pivot rows {c: 1} without any rational arithmetic; only the
+    live parts of the remaining rows are eliminated.
     RREF is unique, so the result equals elimination over the full rows.
     """
     rows = list(rows)
@@ -108,7 +110,7 @@ def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
         if not row:
             continue
         col = min(row)
-        lead = row[col]
+        lead = Fraction(row[col])  # int / int would be a float
         row = {c: v / lead for c, v in row.items()}
         # keep the basis reduced: clear the new pivot column everywhere
         for prow in pivots.values():

@@ -41,7 +41,7 @@ class Poly:
     def evaluate(self, m: Scalar, n: Scalar) -> Fraction:
         total = Fraction(0)
         for (em, en), coeff in self.coeffs.items():
-            total += coeff * Fraction(m) ** em * Fraction(n) ** en
+            total += coeff * (m ** em * n ** en)
         return total
 
     def swap_vars(self) -> "Poly":

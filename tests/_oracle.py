@@ -6,13 +6,18 @@ elimination.  The interior-dimension computation is reimplemented on top
 of it so it shares no sparse bookkeeping with the production path.
 `compatibility_oracle` writes the transposed-Poisson law out term by term,
 beside the package's route through the 1/2-derivation residual.
+`residual_rows` rebuilds the solver's linear system one column at a time
+from `derivation_residual` of a unit map, beside `assemble_system`, which
+accumulates whole rows at once.
 """
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from lieverify.core import bracket
-from lieverify.derivations import _is_core, assemble_system
+from lieverify.core import Element, bracket
+from lieverify.derivations import _is_core, assemble_system, build_unknowns, derivation_residual
 from lieverify.tpa import product
 
 F = Fraction
@@ -121,6 +126,28 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     projections = [[v[c] for c in core_cols] for v in vectors]
     return dense_rank(projections)
+
+
+def residual_rows(spec, g2, window, delta=F(1, 2)):
+    """Rows of the degree-g2 system, one `derivation_residual` per entry.
+
+    Column (src, tgt) is the residual of the unit map e(src -> tgt), which
+    is nonzero only at pairs (x, y) with src = x, src = y or src in [x, y].
+    One row per pair and output symbol, as `assemble_system` lays them out.
+    """
+    unknowns = build_unknowns(spec, g2, window)
+    pairs = list(combinations(spec.basis_symbols(window.n_eq2), 2))
+    touching = defaultdict(set)  # src -> pairs whose residual reads phi(src)
+    for i, (x, y) in enumerate(pairs):
+        for sym in (x, y, *bracket(spec, x, y).terms):
+            touching[sym].add(i)
+    rows = defaultdict(dict)  # (pair, output symbol) -> {column: value}
+    for col, (src, tgt) in enumerate(unknowns):
+        unit = {src: Element.basis(tgt)}
+        for i in touching[src]:
+            for sym, value in derivation_residual(spec, unit, *pairs[i], delta).items():
+                rows[i, sym][col] = value
+    return unknowns, list(rows.values())
 
 
 def compatibility_oracle(prod, x, y, z):

@@ -140,6 +140,21 @@ class TestSolveDeriv:
         assert code == 1
         assert "0" in err
 
+    @pytest.mark.parametrize("expect, message", [
+        ("0=x", "--expect dim must be an integer, got 'x'"),
+        ("0=1,0=2", "--expect names degree 0 twice"),
+        ("5=1", "--expect degree 5 is not in --degrees"),
+        ("-1/2=0", "--expect degree -1/2 is not in --degrees"),
+    ])
+    def test_bad_expect_exit_2_before_solve(self, capsys, monkeypatch, expect, message):
+        def no_solve(*args):
+            raise AssertionError("solved before --expect was checked")
+
+        monkeypatch.setattr(cli, "solve_derivations", no_solve)
+        code, _, err = run(capsys, self.ARGS + ["--expect", expect])
+        assert code == 2
+        assert message in err
+
     def test_half_degrees_and_delta(self, capsys):
         code, out, _ = run(capsys, [
             "solve-deriv", "builtin:Ltilde1?lambda=1,mu=1/4",

@@ -59,6 +59,21 @@ class TestPoly:
         assert (p * q).evaluate(m, n) == p.evaluate(m, n) * q.evaluate(m, n)
         assert (p + q).evaluate(m, n) == p.evaluate(m, n) + q.evaluate(m, n)
 
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), fractions, max_size=6),
+        st.one_of(st.integers(-20, 20), fractions),
+        st.one_of(st.integers(-20, 20), fractions),
+    )
+    def test_evaluate_matches_fraction_powers(self, coeffs, m, n):
+        p = Poly(coeffs)
+        value = p.evaluate(m, n)
+        expected = sum(
+            (c * Fraction(m) ** em * Fraction(n) ** en for (em, en), c in p.coeffs.items()),
+            Fraction(0),
+        )
+        assert type(value) is Fraction
+        assert value == expected
+
 
 class TestElement:
     def test_no_zero_terms(self):

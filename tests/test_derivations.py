@@ -1,9 +1,11 @@
 """The delta-derivation solver: residuals, systems, interior projection."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from _oracle import oracle_interior_dim
+from _oracle import oracle_interior_dim, residual_rows
+from test_acceptance import DERIV_CONFIGS
 from lieverify import catalog
 from lieverify.core import BasisSymbol, Element, Window
 from lieverify.derivations import (
@@ -88,6 +90,29 @@ class TestSystem:
             assert row
             for col in row:
                 assert 0 <= col < len(unknowns)
+
+
+def _normalized(rows):
+    """Rows as a multiset, each divided by its lowest-column entry."""
+    out = Counter()
+    for row in rows:
+        lead = row[min(row)]
+        out[tuple(sorted((c, F(v) / lead) for c, v in row.items()))] += 1
+    return out
+
+
+@pytest.mark.parametrize("key", DERIV_CONFIGS)
+def test_rows_match_unit_map_residuals(key):
+    """Assembled rows equal residuals of unit maps, row by row up to scale."""
+    spec = catalog.builtin(*DERIV_CONFIGS[key])
+    window = Window.displayed(3, 1)
+    for g2 in (-2, -1, 0, 2):
+        for delta in (F(1, 2), F(1)):
+            unknowns, rows = assemble_system(spec, g2, window, delta)
+            assert all(type(v) is int for row in rows for v in row.values())
+            oracle_unknowns, oracle = residual_rows(spec, g2, window, delta)
+            assert unknowns == oracle_unknowns
+            assert _normalized(rows) == _normalized(oracle), (key, g2, delta)
 
 
 class TestSolve:

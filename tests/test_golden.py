@@ -37,6 +37,12 @@ CASES = [
         0,
     ),
     (
+        "solve_Ltilde1_delta1.json",
+        ["solve-deriv", "builtin:Ltilde1?lambda=1,mu=1/4",
+         "--degrees", "-1..1", "--neq", "4", "--ncore", "1", "--delta", "1"],
+        0,
+    ),
+    (
         "solve_Ltilde4.json",
         ["solve-deriv", "builtin:Ltilde4?lambda=1,mu=1/2",
          "--degrees", "-1/2..1/2", "--neq", "4", "--ncore", "1"],

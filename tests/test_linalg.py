@@ -2,7 +2,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieverify import linalg
 
@@ -116,18 +116,19 @@ def _assert_fully_reduced(pivots):
 
 
 _NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+_NONZERO_INT = st.integers(-6, 6).filter(bool)
 
 
 @st.composite
-def _singleton_chain_systems(draw):
+def _singleton_chain_systems(draw, values=_NONZERO):
     """A chain {c0}, {c0,c1}, {c1,c2}, ... mixed with random rows, shuffled."""
     ncols = draw(st.integers(2, 8))
     chain = draw(st.permutations(range(ncols)))[: draw(st.integers(1, ncols))]
-    rows = [{chain[0]: draw(_NONZERO)}]
-    rows += [{a: draw(_NONZERO), b: draw(_NONZERO)} for a, b in zip(chain, chain[1:])]
+    rows = [{chain[0]: draw(values)}]
+    rows += [{a: draw(values), b: draw(values)} for a, b in zip(chain, chain[1:])]
     rows += draw(
         st.lists(
-            st.dictionaries(st.integers(0, ncols - 1), _NONZERO, min_size=1, max_size=4),
+            st.dictionaries(st.integers(0, ncols - 1), values, min_size=1, max_size=4),
             max_size=5,
         )
     )
@@ -158,3 +159,24 @@ def test_singleton_and_bidiagonal_rows_kill_every_column():
     assert linalg.rref(rows) == {c: {c: F(1)} for c in range(ncols)}
     assert linalg.rank(rows) == ncols
     assert linalg.sparse_nullspace(rows, ncols) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(_singleton_chain_systems(_NONZERO_INT))
+@example(([{0: 2}, {0: 3, 1: -1}, {2: 4, 3: 6}, {1: 5, 2: -2, 3: 3}], 4, {0, 1}))
+@example(([{0: 2, 1: 4}, {1: 3, 2: -1}, {0: 1, 2: 5}], 3, set()))
+def test_integer_rows_match_fraction_rows(system):
+    """Integer rows (as `assemble_system` builds them) reduce like Fractions.
+
+    The chain rows die in the peel.  The first example also keeps two rows
+    with live columns, one of them redundant; the second has no singleton,
+    so nothing is peeled and every row reaches elimination as it is.
+    """
+    rows, ncols, _ = system
+    as_fractions = [{c: F(v) for c, v in row.items()} for row in rows]
+    pivots = linalg.rref(rows)
+    kernel = linalg.sparse_nullspace(rows, ncols)
+    assert pivots == linalg.rref(as_fractions)
+    assert kernel == linalg.sparse_nullspace(as_fractions, ncols)
+    values = [v for row in (*pivots.values(), *kernel) for v in row.values()]
+    assert all(type(v) is Fraction for v in values)
