@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import catalog, dsl, tpa
 from .core import (
@@ -73,22 +73,34 @@ def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[t
             yield key.strip(), value.strip()
 
 
+def _once(pairs: Iterable[tuple], twice: Callable[..., str]) -> Iterator[tuple]:
+    """Pass (key, value) pairs through; a key seen before raises UsageError(twice(key))."""
+    seen = set()
+    for key, value in pairs:
+        if key in seen:
+            raise UsageError(twice(key))
+        seen.add(key)
+        yield key, value
+
+
 def _parse_params(items: Sequence[str]) -> dict[str, Fraction]:
+    pairs = _entries(items, "=", "parameter", "name=value")
     return {
         name: _parse_fraction(value, f"parameter {name!r}")
-        for name, value in _entries(items, "=", "parameter", "name=value")
+        for name, value in _once(pairs, lambda name: f"parameter {name!r} is given twice")
     }
 
 
 def load_algebra(src: str, extra_params: Sequence[str] = ()) -> AlgebraSpec:
-    params = _parse_params(extra_params)
     if src.startswith("builtin:"):
         rest = src[len("builtin:"):]
         name, _, query = rest.partition("?")
+        # --param and the query form one list, so a name may appear once in all
+        params = _parse_params([*extra_params, query])
         if not name:
             raise UsageError("empty builtin algebra name")
-        params.update(_parse_params([query]))
         return catalog.builtin(name, params or None)
+    params = _parse_params(extra_params)
     path = Path(src)
     if not path.is_file():
         raise UsageError(f"no such file: {src}")
@@ -115,11 +127,10 @@ def _parse_degrees(spec_text: str, step: str) -> list[int]:
 
 
 def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:
+    pairs = ((_doubled(_parse_fraction(deg, "degree"), "degree"), dim)
+             for deg, dim in _entries([text], "=", "--expect entry", "degree=dim"))
     expected: dict[int, int] = {}
-    for deg, dim in _entries([text], "=", "--expect entry", "degree=dim"):
-        g2 = _doubled(_parse_fraction(deg, "degree"), "degree")
-        if g2 in expected:
-            raise UsageError(f"--expect names degree {format_index2(g2)} twice")
+    for g2, dim in _once(pairs, lambda g2: f"--expect names degree {format_index2(g2)} twice"):
         if g2 not in degrees2:
             raise UsageError(f"--expect degree {format_index2(g2)} is not in --degrees")
         expected[g2] = _parse_int(dim, "--expect dim")
@@ -127,9 +138,11 @@ def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:
 
 
 def _parse_support(items: Sequence[str], what: str) -> dict[int, Fraction]:
+    pairs = ((_parse_int(off, f"{what} offset"), val)
+             for off, val in _entries(items, ":", f"{what} entry", "offset:value"))
     return {
-        _parse_int(off, f"{what} offset"): _parse_fraction(val, f"{what} value")
-        for off, val in _entries(items, ":", f"{what} entry", "offset:value")
+        off: _parse_fraction(val, f"{what} value")
+        for off, val in _once(pairs, lambda off: f"{what} names offset {off} twice")
     }
 
 

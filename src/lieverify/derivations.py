@@ -29,13 +29,34 @@ from .core import (
     Element,
     Window,
     WindowError,
-    bracket,
     bracket_symbols,
     format_index2,
     format_symbol,
 )
 
 Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
+
+
+def residual_terms(
+    spec: AlgebraSpec,
+    phi: Callable[[BasisSymbol], Mapping[BasisSymbol, Fraction]],
+    x: BasisSymbol,
+    y: BasisSymbol,
+    delta: Fraction = Fraction(1, 2),
+) -> dict[BasisSymbol, Fraction]:
+    """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as a symbol->coefficient dict.
+
+    phi maps a basis symbol to its image as a symbol->coefficient mapping
+    (an Element works too), so callers that only test for zero build no Element.
+    """
+    acc: dict[BasisSymbol, Fraction] = {}
+    for sym, coeff in bracket_symbols(spec, x, y).items():
+        axpy(acc, phi(sym), coeff)
+    for sym, coeff in phi(x).items():
+        axpy(acc, bracket_symbols(spec, sym, y), -delta * coeff)
+    for sym, coeff in phi(y).items():
+        axpy(acc, bracket_symbols(spec, x, sym), -delta * coeff)
+    return acc
 
 
 def derivation_residual(
@@ -48,13 +69,8 @@ def derivation_residual(
     """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as an Element."""
     if not callable(phi):
         table = phi
-        phi = lambda s: table.get(s, Element())
-    acc: dict[BasisSymbol, Fraction] = {}
-    for sym, coeff in bracket_symbols(spec, x, y).items():
-        axpy(acc, phi(sym).terms, coeff)
-    axpy(acc, bracket(spec, phi(x), y).terms, -delta)
-    axpy(acc, bracket(spec, x, phi(y)).terms, -delta)
-    return Element(acc)
+        phi = lambda s: table.get(s, {})
+    return Element(residual_terms(spec, phi, x, y, delta))
 
 
 def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -> list[BasisSymbol]:
@@ -134,7 +150,6 @@ def assemble_system(
             for (sym, column), value in acc.items():
                 by_output.setdefault(sym, {})[column] = value
             rows.extend(by_output.values())
-    assert all(c in range(len(unknowns)) for row in rows for c in row)
     return unknowns, rows
 
 
@@ -292,9 +307,9 @@ def solve_degree(
         for c, v in full.items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
-        table = {src: Element(terms) for src, terms in images.items()}
+        phi = lambda s: images.get(s, {})
         if any(
-            derivation_residual(spec, table, x, y, delta)
+            residual_terms(spec, phi, x, y, delta)
             for x, y in itertools.combinations(symbols, 2)
         ):
             checked = False

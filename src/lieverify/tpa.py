@@ -6,7 +6,12 @@ Lie bracket through the compatibility law
 The law says exactly that left multiplication phi = z*(-) is a
 1/2-derivation of the bracket: its residual is twice the 1/2-derivation
 residual phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]), so
-``compatibility_residual`` is computed by ``derivation_residual``.
+``compatibility_residual`` is computed by ``residual_terms``.
+
+Every residual (associativity, compatibility, left multiplication) is a
+symbol->coefficient dict built from the memoized ``product_symbols`` and
+``bracket_symbols`` tables; an ``Element`` is built only when a check
+records a violation, or when a public function returns one.
 
 A candidate product is given by symmetric rules in the same shape as
 bracket rules.  ``check_tpa`` verifies commutativity (structural),
@@ -38,9 +43,11 @@ from .core import (
     index_rules,
     window_check,
 )
-from .derivations import derivation_residual
+from .derivations import residual_terms
 from .linalg import axpy
 from .poly import Poly
+
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -132,23 +139,51 @@ def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     )
 
 
-def check_associative(prod: ProductSpec, bound2: int) -> Report:
-    def residual(x, y, z):
-        lhs = product(prod, product(prod, x, y), z)
-        return axpy(dict(lhs.terms), product(prod, x, product(prod, y, z)).terms, -1)
+def _times(
+    prod: ProductSpec, terms: Mapping[BasisSymbol, Fraction], s: BasisSymbol
+) -> dict[BasisSymbol, Fraction]:
+    """(sum of c*t over terms) * s as a symbol->coefficient dict."""
+    acc: dict[BasisSymbol, Fraction] = {}
+    for t, c in terms.items():
+        axpy(acc, product_symbols(prod, t, s), c)
+    return acc
 
+
+def _left_mult(prod: ProductSpec, z: Element | BasisSymbol):
+    """Left multiplication s -> z*s as a symbol -> coefficient-dict map."""
+    if isinstance(z, BasisSymbol):
+        return functools.partial(product_symbols, prod, z)
+    return functools.partial(_times, prod, z.terms)
+
+
+def associativity_terms(
+    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, Fraction]:
+    """(x*y)*z - x*(y*z) as a dict, reading x*s as s*x: products are symmetric."""
+    lhs = _times(prod, product_symbols(prod, x, y), z)
+    return axpy(lhs, _times(prod, product_symbols(prod, y, z), x), -1)
+
+
+def check_associative(prod: ProductSpec, bound2: int) -> Report:
     return window_check(
         "associativity",
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 3),
-        residual,
+        functools.partial(associativity_terms, prod),
         "associativity broken",
     )
 
 
-def compatibility_residual(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol) -> Element:
+def _compatibility_terms(
+    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, Fraction]:
     """2*z*[x,y] - [z*x, y] - [x, z*y]: twice the 1/2-derivation residual of z*(-)."""
-    phi = lambda s: product(prod, z, s)
-    return derivation_residual(prod.algebra, phi, x, y, Fraction(1, 2)).scale(2)
+    terms = residual_terms(prod.algebra, _left_mult(prod, z), x, y, HALF)
+    return {sym: 2 * c for sym, c in terms.items()}
+
+
+def compatibility_residual(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol) -> Element:
+    """2*z*[x,y] - [z*x, y] - [x, z*y] as an Element."""
+    return Element(_compatibility_terms(prod, x, y, z))
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
@@ -156,7 +191,7 @@ def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        functools.partial(compatibility_residual, prod),
+        functools.partial(_compatibility_terms, prod),
         "compatibility broken",
     )
 
@@ -178,22 +213,19 @@ def left_mult_derivation(
     By the transposed-Poisson compatibility law this is a 1/2-derivation
     of the bracket; feed the table to ``derivation_residual`` to verify.
     """
-    table = {}
-    for sym in prod.algebra.basis_symbols(bound2):
-        image = product(prod, z, sym)
-        if image:
-            table[sym] = image
-    return table
+    phi = _left_mult(prod, z)
+    symbols = prod.algebra.basis_symbols(bound2)
+    return {sym: Element(image) for sym in symbols if (image := phi(sym))}
 
 
 def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:
     """Check that left multiplication by z is a 1/2-derivation."""
     # evaluate z*s lazily: bracket outputs can fall outside a fixed table
-    table = lambda s: product(prod, z, s)
+    phi = _left_mult(prod, z)
     return window_check(
         "left-multiplication",
         itertools.combinations(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: derivation_residual(prod.algebra, table, x, y, Fraction(1, 2)),
+        lambda x, y: residual_terms(prod.algebra, phi, x, y, HALF),
         "left multiplication is not a 1/2-derivation",
     )
 

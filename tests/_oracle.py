@@ -5,7 +5,9 @@ integer matrix, kept deliberately separate from the package's sparse
 elimination.  The interior-dimension computation is reimplemented on top
 of it so it shares no sparse bookkeeping with the production path.
 `compatibility_oracle` writes the transposed-Poisson law out term by term,
-beside the package's route through the 1/2-derivation residual.
+beside the package's route through the 1/2-derivation residual, and
+`associativity_oracle` forms (x*y)*z - x*(y*z) from `product` elements,
+beside the package's dict residual.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
@@ -23,7 +25,9 @@ from lieverify.tpa import product
 F = Fraction
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
+def _integerize(row: Sequence[Fraction | int]) -> list[int]:
+    if all(type(v) is int for v in row):
+        return row
     denom = 1
     for v in row:
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -121,7 +125,7 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     """Interior dimension via the dense nullspace oracle."""
     unknowns, rows = assemble_system(spec, g2, window, delta)
     n = len(unknowns)
-    dense = [[row.get(c, F(0)) for c in range(n)] for row in rows]
+    dense = [[row.get(c, 0) for c in range(n)] for row in rows]
     vectors = dense_nullspace(dense, n)
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     projections = [[v[c] for c in core_cols] for v in vectors]
@@ -155,3 +159,8 @@ def compatibility_oracle(prod, x, y, z):
     spec = prod.algebra
     zxy = product(prod, z, bracket(spec, x, y)).scale(2)
     return zxy - bracket(spec, product(prod, z, x), y) - bracket(spec, x, product(prod, z, y))
+
+
+def associativity_oracle(prod, x, y, z):
+    """(x*y)*z - x*(y*z), formed as two separate elements."""
+    return product(prod, product(prod, x, y), z) - product(prod, x, product(prod, y, z))

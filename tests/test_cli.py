@@ -119,6 +119,16 @@ class TestValidate:
         assert code == 2
         assert "--expect dim must be an integer, got 'x'" in err
 
+    @pytest.mark.parametrize("src, args", [
+        ("builtin:Ltilde1?lambda=1,mu=1/4", ["--param", "lambda=2"]),
+        ("builtin:Ltilde1?lambda=1,mu=1/4,lambda=3", []),
+        ("builtin:Ltilde1", ["--param", "lambda=1,mu=1/4", "--param", "lambda=1"]),
+    ])
+    def test_repeated_parameter_exit_2(self, capsys, src, args):
+        code, out, err = run(capsys, ["validate", src] + args)
+        assert (code, out) == (2, "")
+        assert "parameter 'lambda' is given twice" in err
+
 
 class TestSolveDeriv:
     ARGS = [
@@ -224,6 +234,19 @@ class TestCheckTpa:
             code, out, err = run(capsys, command + ["--neq", "-1"])
             assert (code, out) == (2, "")
             assert "window bounds must be nonnegative" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--alpha", "0:1", "--alpha", "0:2"], "--alpha names offset 0 twice"),
+        (["--alpha", "0:1", "--beta", "1:1,+1:2"], "--beta names offset 1 twice"),
+        (["--alpha", "0:1", "--param", "lambda=2"], "parameter 'lambda' is given twice"),
+    ])
+    def test_repeated_key_exit_2(self, capsys, args, message):
+        # a repeated offset or parameter used to keep one of the values silently
+        code, out, err = run(capsys, [
+            "check-tpa", "builtin:Ltilde1?lambda=1,mu=1/4", "--product", "builtin:theorem",
+        ] + args)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_theorem_needs_lambda_one(self, capsys):
         code, _, _ = run(capsys, [

@@ -6,7 +6,7 @@ import pytest
 
 from _oracle import oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
-from lieverify import catalog
+from lieverify import catalog, derivations
 from lieverify.core import BasisSymbol, Element, Window
 from lieverify.derivations import (
     assemble_system,
@@ -109,6 +109,7 @@ def test_rows_match_unit_map_residuals(key):
     for g2 in (-2, -1, 0, 2):
         for delta in (F(1, 2), F(1)):
             unknowns, rows = assemble_system(spec, g2, window, delta)
+            assert all(c in range(len(unknowns)) for row in rows for c in row)
             assert all(type(v) is int for row in rows for v in row.values())
             oracle_unknowns, oracle = residual_rows(spec, g2, window, delta)
             assert unknowns == oracle_unknowns
@@ -121,6 +122,20 @@ class TestSolve:
         assert res.interior_dim == 1
         assert res.generators[0].description == "identity map"
         assert res.residual_checked
+
+    def test_recheck_flags_a_spoiled_generator(self, so_hat, monkeypatch):
+        # the re-check evaluates the reported maps: doubling one entry of
+        # the identity map leaves a nonzero residual
+        original = derivations._interior_basis
+
+        def spoiled(vectors, core_cols):
+            basis = original(vectors, core_cols)
+            basis[0][min(basis[0])] *= 2
+            return basis
+
+        monkeypatch.setattr(derivations, "_interior_basis", spoiled)
+        res = solve_degree(so_hat, 0, Window.displayed(4, 1))
+        assert res.interior_dim == 1 and not res.residual_checked
 
     def test_so_hat_empty_at_nonzero_degrees(self, so_hat):
         report = solve_derivations(so_hat, [-2, -1, 1, 2], Window.displayed(6, 2))

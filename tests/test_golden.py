@@ -2,11 +2,12 @@
 
 Each output file under ``tests/golden/`` is the stdout of one quick
 command, paired with its expected exit code; the solver, axiom checks,
-TPA checks and renderer must keep reproducing it byte for byte.  The two
+TPA checks and renderer must keep reproducing it byte for byte.  The three
 ``broken_*.liealg`` files are inputs: an so_hat variant that breaks skew
-symmetry, grading and Jacobi, and a product file that breaks
-commutativity and compatibility, so that violation lists (witnesses,
-residuals, messages and their order) are pinned in JSON and text.
+symmetry, grading and Jacobi, a product file that breaks commutativity
+and compatibility, and one that breaks associativity and compatibility,
+so that violation lists (witnesses, residuals, messages and their order)
+are pinned in JSON and text.
 Regenerate a file only for an intended output change.
 """
 from pathlib import Path
@@ -20,6 +21,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BROKEN_ALGEBRA = str(GOLDEN / "broken_so_hat.liealg")
 BROKEN_PRODUCT = ["check-tpa", "builtin:so_hat", "--product",
                   str(GOLDEN / "broken_product.liealg"), "--neq", "2"]
+BROKEN_ASSOC = ["check-tpa", "builtin:so_hat", "--product",
+                str(GOLDEN / "broken_assoc.liealg"), "--neq", "2"]
 
 CASES = [
     ("list.json", ["list"], 0),
@@ -62,6 +65,8 @@ CASES = [
     ),
     ("check_tpa_broken_product.json", BROKEN_PRODUCT, 1),
     ("check_tpa_broken_product.txt", BROKEN_PRODUCT + ["--format", "text"], 1),
+    ("check_tpa_broken_assoc.json", BROKEN_ASSOC, 1),
+    ("check_tpa_broken_assoc.txt", BROKEN_ASSOC + ["--format", "text"], 1),
 ]
 
 

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from _oracle import compatibility_oracle
+from _oracle import associativity_oracle, compatibility_oracle
 from lieverify import catalog
 from lieverify.core import BasisSymbol, BracketRule, BracketTerm, Element, StructureError
 from lieverify.derivations import derivation_residual
 from lieverify.poly import Poly
 from lieverify.tpa import (
     ProductSpec,
+    associativity_terms,
     check_left_mult,
     check_tpa,
     compatibility_residual,
@@ -109,14 +110,32 @@ class TestChecks:
         for prod in (negative, parse_products(golden.read_text(), so_hat)):
             assert self._nonzero_matching_oracle(prod, 4) > 0
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_associativity_residual_matches_oracle_theorem(self, lt1, seed):
+        rng = random.Random(seed)
+        support = lambda: {t: F(rng.randint(-5, 5), rng.randint(1, 5)) for t in (-1, 0, 1)}
+        prod = theorem_product(lt1, support(), support())
+        assert self._nonzero_matching_oracle(prod, 4, self._associativity, associativity_oracle) == 0
+
+    def test_associativity_residual_matches_oracle_negative(self):
+        so_hat = catalog.builtin("so_hat")
+        golden = Path(__file__).resolve().parent / "golden" / "broken_assoc.liealg"
+        prod = parse_products(golden.read_text(), so_hat)
+        assert self._nonzero_matching_oracle(prod, 4, self._associativity, associativity_oracle) > 0
+
     @staticmethod
-    def _nonzero_matching_oracle(prod, bound2):
+    def _associativity(prod, x, y, z):
+        return Element(associativity_terms(prod, x, y, z))
+
+    @staticmethod
+    def _nonzero_matching_oracle(prod, bound2, residual=compatibility_residual,
+                                 oracle=compatibility_oracle):
         """Assert agreement on every ordered triple; count the nonzero residuals."""
         nonzero = 0
         symbols = list(prod.algebra.basis_symbols(bound2))
         for x, y, z in itertools.product(symbols, repeat=3):
-            res = compatibility_residual(prod, x, y, z)
-            assert res == compatibility_oracle(prod, x, y, z), (x, y, z)
+            res = residual(prod, x, y, z)
+            assert res == oracle(prod, x, y, z), (x, y, z)
             nonzero += bool(res)
         return nonzero
 
@@ -134,6 +153,12 @@ class TestLeftMultiplication:
         table = left_mult_derivation(prod, z, 4)
         assert table[lt1.symbol("L", 2)] == Element({BasisSymbol("M", 4): F(1)})
         assert lt1.symbol("M", 0) not in table  # M * X = 0
+        # an Element z acts through the same table, term by term
+        prod = theorem_product(lt1, alpha={0: F(1)}, beta={1: F(-2)})
+        z = Element({z: F(3), lt1.symbol("Y", F(1, 2)): F(-1, 2)})
+        table = left_mult_derivation(prod, z, 4)
+        assert table == {s: product(prod, z, s) for s in lt1.basis_symbols(4)
+                         if product(prod, z, s)}
 
     def test_central_z_is_zero_map(self, lt1):
         prod = theorem_product(lt1, alpha={0: F(1)}, beta={0: F(1)})
@@ -162,6 +187,12 @@ class TestLeftMultiplication:
         first = rep.violations[0]
         assert first.witness == (so_hat.symbol("L", -2), so_hat.symbol("L", -1))
         assert first.residual == Element({so_hat.symbol("M", -2): F(1, 2)})
+        # z = 2*L(1) as an Element: the same witnesses, twice the residuals
+        doubled = check_left_mult(bad, Element({so_hat.symbol("L", 1): F(2)}), 4)
+        assert [v.witness for v in doubled.violations] == [v.witness for v in rep.violations]
+        assert [v.residual for v in doubled.violations] == [
+            v.residual.scale(2) for v in rep.violations
+        ]
 
     def test_closure_via_residual_directly(self, lt1):
         prod = theorem_product(lt1, beta={0: F(1)})
