@@ -1,15 +1,18 @@
 """Built-in algebras: structure, case guards, spot-checked brackets."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lieverify import catalog
+from lieverify import catalog, dsl
 from lieverify.catalog import CaseLabel, CaseViolation, classify_case
 from lieverify.core import BasisSymbol, Element, StructureError, Window, bracket
 from lieverify.core import check_grading, check_jacobi, check_skew
 
 
 F = Fraction
+CATALOG_GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog.json"
 
 
 class TestClassifyCase:
@@ -111,3 +114,44 @@ def test_axioms_window_3(name, params):
     assert check_skew(spec, window).passed
     assert check_grading(spec, window).passed
     assert check_jacobi(spec, window).passed
+
+
+def _pin(name, params):
+    """What the solver and renderer see of one catalog entry, as JSON data.
+
+    Family order fixes the solver's unknown-column order, and `render`
+    sorts families, so the ordered families are recorded beside the
+    canonical text; term lists keep their order within each rule.
+    """
+    entry = {"name": name, "params": {k: str(v) for k, v in params.items()}}
+    try:
+        spec = catalog.builtin(name, params or None)
+    except ValueError as exc:
+        entry["error"] = [type(exc).__name__, str(exc)]
+        return entry
+    entry["params"] = {k: str(v) for k, v in spec.params.items()}
+    entry["families"] = [[f.name, f.lattice, f.shift2] for f in spec.families]
+    entry["terms"] = {
+        f"{rule.left},{rule.right}": [
+            [dsl._poly_str(t.coeff), t.target, t.offset,
+             None if t.delta is None else str(t.delta.shift)]
+            for t in rule.terms
+        ]
+        for rule in spec.rules
+    }
+    entry["render"] = dsl.render_algebra(spec)
+    return entry
+
+
+# One entry a line; regenerate only for an intended catalog change, as
+#   "[\n" + ",\n".join(json.dumps(_pin(name, params)) for ...) + "\n]\n"
+PINNED = json.loads(CATALOG_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "entry", PINNED,
+    ids=[e["name"] + "".join(f",{k}={v}" for k, v in e["params"].items()) for e in PINNED],
+)
+def test_catalog_matches_golden(entry):
+    params = {k: F(v) for k, v in entry["params"].items()}
+    assert _pin(entry["name"], params) == entry
