@@ -46,6 +46,11 @@ class Family:
         if self.lattice == CENTRAL and self.shift2 != 0:
             raise StructureError(f"central family {self.name} must have degree 0")
 
+    @property
+    def parity(self) -> int:
+        """Parity of the doubled index: 1 on the half lattice, else 0."""
+        return 1 if self.lattice == HALF else 0
+
 
 class BasisSymbol(NamedTuple):
     """A single basis symbol: family name plus doubled index (None if central)."""
@@ -283,14 +288,11 @@ class AlgebraSpec:
         """Largest doubled-index shift any bracket term can apply."""
         worst = 0
         for rule in self.rules:
-            hl = 1 if self._fam[rule.left].lattice == HALF else 0
-            hr = 1 if self._fam[rule.right].lattice == HALF else 0
+            sources = self._fam[rule.left].parity + self._fam[rule.right].parity
             for term in rule.terms:
                 tf = self._fam[term.target]
-                if tf.lattice == CENTRAL:
-                    continue
-                ht = 1 if tf.lattice == HALF else 0
-                worst = max(worst, abs(2 * term.offset + ht - hl - hr))
+                if tf.lattice != CENTRAL:
+                    worst = max(worst, abs(2 * term.offset + tf.parity - sources))
         return worst
 
     def degree2(self, sym: BasisSymbol) -> int:
@@ -306,9 +308,7 @@ class AlgebraSpec:
         if fam.lattice == CENTRAL:
             raise StructureError(f"central symbol {sym.family} carries no index")
         assert sym.twice is not None
-        if fam.lattice == HALF:
-            return (sym.twice - 1) // 2
-        return sym.twice // 2
+        return sym.twice // 2  # on the half lattice twice is odd: twice // 2 == (twice - 1) // 2
 
     def symbol(self, family: str, displayed: Fraction | int | None = None) -> BasisSymbol:
         fam = self.family(family)
@@ -322,8 +322,7 @@ class AlgebraSpec:
         if twice.denominator != 1:
             raise StructureError(f"index {displayed} is not on a half-integer lattice")
         twice = int(twice)
-        want = 1 if fam.lattice == HALF else 0
-        if twice % 2 != want:
+        if twice % 2 != fam.parity:
             raise StructureError(
                 f"index {displayed} has the wrong parity for {fam.lattice} family {family}"
             )
@@ -336,9 +335,8 @@ class AlgebraSpec:
                 if include_central:
                     yield BasisSymbol(fam.name, None)
                 continue
-            parity = 0 if fam.lattice == INTEGER else 1
             for twice in range(-bound2, bound2 + 1):
-                if twice % 2 == parity:
+                if twice % 2 == fam.parity:
                     yield BasisSymbol(fam.name, twice)
 
 
@@ -364,8 +362,7 @@ def eval_rule(
         if tf.lattice == CENTRAL:
             sym = BasisSymbol(term.target, None)
         else:
-            half = 1 if tf.lattice == HALF else 0
-            sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + half)
+            sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + tf.parity)
         axpy(out, {sym: term.coeff.evaluate(mv, nv)}, sign)
     return out
 

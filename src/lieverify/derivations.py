@@ -83,7 +83,7 @@ def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -
                 out.append(BasisSymbol(fam.name, None))
             continue
         twice = deg2 - fam.shift2
-        if twice % 2 != (1 if fam.lattice == "half" else 0):
+        if twice % 2 != fam.parity:
             continue
         if abs(twice) <= n_unk2:
             out.append(BasisSymbol(fam.name, twice))

@@ -17,6 +17,7 @@ written F(n) denotes the basis symbol with index n+1/2.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -43,6 +44,9 @@ MAX_EXPONENT = 16
 MAX_POWER_BITS = 4096
 # Longest integer literal: int() refuses strings past 4 300 digits.
 MAX_DIGITS = 1000
+# Deepest nesting of parentheses and unary signs in a coefficient: the
+# parser recurses once per level, so deeper input would exhaust the stack.
+MAX_NESTING = 100
 
 
 class DslError(ValueError):
@@ -62,56 +66,33 @@ class Token:
     col: int
 
 
-_OPS = ("**", "+", "-", "*", "/", "^", "(", ")", "=", ",")
+# Digits are ASCII only; identifiers may contain '-' only as the keyword
+# degree-offset, and `**` is another spelling of `^`.
+_TOKEN = re.compile(
+    r"(?P<SPACE>\s+)|(?P<COMMENT>#.*)|(?P<NUMBER>[0-9]+)"
+    r"|(?P<IDENT>degree-offset(?=-?(?![\w-]))|[^\W\d]\w*)|(?P<OP>\*\*|[-+*/^()=,])"
+)
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise DslError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+        kind, word = match.lastgroup, match.group()
+        if kind == "COMMENT":
             break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            # identifiers may contain '-' only for the keyword degree-offset
-            word = text[i:j]
-            if word.endswith("-"):
-                j -= 1
-                word = word[:-1]
-            if "-" in word and word != "degree-offset":
-                j = i + word.index("-")
-                word = text[i:j]
-            tokens.append(Token("IDENT", word, line_no, i + 1))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise DslError(
-                    f"integer literal of {j - i} digits exceeds the maximum {MAX_DIGITS}",
-                    line_no,
-                    i + 1,
-                )
-            tokens.append(Token("NUMBER", text[i:j], line_no, i + 1))
-            i = j
-            continue
-        if text.startswith("**", i):
-            tokens.append(Token("OP", "^", line_no, i + 1))
-            i += 2
-            continue
-        if ch in "+-*/^()=,":
-            tokens.append(Token("OP", ch, line_no, i + 1))
-            i += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line_no, i + 1)
+        if kind == "NUMBER" and len(word) > MAX_DIGITS:
+            raise DslError(
+                f"integer literal of {len(word)} digits exceeds the maximum {MAX_DIGITS}",
+                line_no,
+                pos + 1,
+            )
+        if kind != "SPACE":
+            tokens.append(Token(kind, "^" if word == "**" else word, line_no, pos + 1))
+        pos = match.end()
     return tokens
 
 
@@ -150,6 +131,7 @@ class _PolyParser:
         self.s = stream
         self.params = params
         self.families = families
+        self.depth = 0  # open parentheses and unary signs
 
     def parse_expr(self) -> Poly:
         poly = self.parse_term()
@@ -182,13 +164,21 @@ class _PolyParser:
 
     def parse_factor(self) -> Poly:
         tok = self.s.next()
-        if tok.kind == "OP" and tok.text in "+-":
-            inner = self.parse_factor()
-            return inner if tok.text == "+" else -inner
-        if tok.kind == "OP" and tok.text == "(":
-            poly = self.parse_expr()
-            self.s.expect_op(")")
-            return self._maybe_power(poly)
+        if tok.kind == "OP" and tok.text in "+-(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise DslError(
+                    f"parentheses and signs nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
+            if tok.text == "(":
+                poly = self.parse_expr()
+                self.s.expect_op(")")
+                poly = self._maybe_power(poly)
+            else:
+                poly = self.parse_factor()
+                poly = poly if tok.text == "+" else -poly
+            self.depth -= 1
+            return poly
         if tok.kind == "NUMBER":
             return self._maybe_power(Poly.const(int(tok.text)))
         if tok.kind == "IDENT":

@@ -47,7 +47,7 @@ from .derivations import residual_terms
 from .linalg import axpy
 from .poly import Poly
 
-HALF = Fraction(1, 2)
+DELTA_HALF = Fraction(1, 2)  # the delta of a 1/2-derivation
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """2*z*[x,y] - [z*x, y] - [x, z*y]: twice the 1/2-derivation residual of z*(-)."""
-    terms = residual_terms(prod.algebra, _left_mult(prod, z), x, y, HALF)
+    terms = residual_terms(prod.algebra, _left_mult(prod, z), x, y, DELTA_HALF)
     return {sym: 2 * c for sym, c in terms.items()}
 
 
@@ -225,7 +225,7 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
     return window_check(
         "left-multiplication",
         itertools.combinations(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: residual_terms(prod.algebra, phi, x, y, HALF),
+        lambda x, y: residual_terms(prod.algebra, phi, x, y, DELTA_HALF),
         "left multiplication is not a 1/2-derivation",
     )
 

@@ -62,6 +62,9 @@ class TestCatalogStructure:
             catalog.builtin("L")
         with pytest.raises(StructureError):
             catalog.builtin("nope")
+        for name in filter(catalog.needs_params, catalog.catalog_names()):
+            with pytest.raises(StructureError, match=f"^{name} takes only .* not 'nu'$"):
+                catalog.builtin(name, {"lambda": F(1), "mu": F(1, 4), "nu": F(3)})
 
     def test_hv_is_subalgebra_of_so_hat(self):
         hv = catalog.builtin("hv")

@@ -86,8 +86,12 @@ class TestValidate:
             ("(((m+n+1)^16)^16)^16*L(m+n)", "line 3, col 35: power of degree"),
             ("((((2^16)^16)^16)^16)^16*L(m+n)", "line 3, col 35: power of about"),
             ("7" * 5000 + "*L(m+n)", "line 3, col 21: integer literal"),
+            ("(" * 400 + "m" + ")" * 400 + "*L(m+n)", "line 3, col 121: parentheses and signs"),
+            ("(" + "-" * 3000 + "m)*L(m+n)", "line 3, col 121: parentheses and signs"),
+            ("\u00b2*L(m+n)", "line 3, col 21: unknown parameter"),
         ],
-        ids=["nested-power", "nested-constant-power", "long-literal"],
+        ids=["nested-power", "nested-constant-power", "long-literal",
+             "deep-parentheses", "deep-signs", "superscript-digit"],
     )
     def test_oversized_polynomial_exit_2(self, capsys, tmp_path, rhs, message):
         path = tmp_path / "big.liealg"
@@ -101,6 +105,12 @@ class TestValidate:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, ["validate", "/nonexistent/x.liealg"])
         assert code == 2
+
+    def test_unknown_builtin_parameter_exit_2(self, capsys):
+        src = "builtin:Ltilde1?lambda=1,mu=1/4,nu=3"
+        code, out, err = run(capsys, ["validate", src, "--neq", "1"])
+        assert (code, out) == (2, "")
+        assert "Ltilde1 takes only parameters lambda and mu, not 'nu'" in err
 
     def test_case_guard_exit_3(self, capsys):
         # lambda=1, mu=1/4 belongs to the generic case, not the lambda=-3 one

@@ -142,6 +142,29 @@ def test_canonical_orientation_flip():
             "bracket L(m) L(n) = " + "7" * 5000 + "*L(m+n)",
             "line 3, col 21: integer literal of 5000 digits exceeds the maximum",
         ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = " + "(" * 400 + "m" + ")" * 400 + "*L(m+n)",
+            "line 3, col 121: parentheses and signs nested deeper than 100",
+            id="deep-parentheses",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\n"
+            "bracket L(m) L(n) = (" + "-" * 3000 + "m)*L(m+n)",
+            "line 3, col 121: parentheses and signs nested deeper than 100",
+            id="deep-signs",
+        ),
+        # only ASCII digits form numbers: str.isdigit accepts both of these
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nbracket L(m) L(n) = \u00b2*L(m+n)",
+            "line 3, col 21: unknown parameter '\u00b2'",
+            id="superscript-digit",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset \u0663",
+            "line 2, col 32: unexpected character '\u0663'",
+            id="arabic-indic-digit",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
