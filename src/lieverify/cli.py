@@ -101,10 +101,18 @@ def load_algebra(src: str, extra_params: Sequence[str] = ()) -> AlgebraSpec:
             raise UsageError("empty builtin algebra name")
         return catalog.builtin(name, params or None)
     params = _parse_params(extra_params)
+    return dsl.parse_algebra(_read_source(src, "file"), params)
+
+
+def _read_source(src: str, what: str) -> str:
+    """The text of a .liealg file; a missing or non-UTF-8 file is a usage error."""
     path = Path(src)
     if not path.is_file():
-        raise UsageError(f"no such file: {src}")
-    return dsl.parse_algebra(path.read_text(), params)
+        raise UsageError(f"no such {what}: {src}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {src} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
 def _doubled(value: Fraction, what: str) -> int:
@@ -253,10 +261,7 @@ def cmd_check_tpa(args) -> int:
     else:
         if args.alpha or args.beta:
             raise UsageError("--alpha/--beta are only valid with --product builtin:theorem")
-        path = Path(args.product)
-        if not path.is_file():
-            raise UsageError(f"no such product file: {args.product}")
-        prod = tpa.parse_products(path.read_text(), spec)
+        prod = tpa.parse_products(_read_source(args.product, "product file"), spec)
     window = Window(2 * args.neq, 0)
     reports = tpa.check_tpa(prod, window.n_eq2)
     if args.format == "json":

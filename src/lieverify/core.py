@@ -161,27 +161,36 @@ class BracketRule:
     terms: tuple[BracketTerm, ...]
 
 
-def index_rules(
-    families: Mapping[str, Family], rules: Iterable[BracketRule], what: str
-) -> dict[frozenset, BracketRule]:
-    """Validate `what` rules against the families; index them by unordered pair."""
-    pairs: dict[frozenset, BracketRule] = {}
-    for rule in rules:
-        for name in (rule.left, rule.right):
-            if name not in families:
-                raise StructureError(f"{what} rule references unknown family {name!r}")
-            if families[name].lattice == CENTRAL:
-                raise StructureError(f"central family {name!r} cannot head a {what} rule")
-        key = frozenset((rule.left, rule.right))
-        if key in pairs:
-            raise StructureError(
-                f"duplicate {what} rule for family pair ({rule.left}, {rule.right})"
-            )
-        pairs[key] = rule
-        for term in rule.terms:
-            if term.target not in families:
-                raise StructureError(f"{what} rule targets unknown family {term.target!r}")
-    return pairs
+def add_family(families: dict[str, Family], fam: Family) -> None:
+    """Add `fam` to the name -> Family map, rejecting repeated and reserved names."""
+    if fam.name in families:
+        raise StructureError(f"duplicate family {fam.name}")
+    if fam.name in ("m", "n"):
+        raise StructureError("family names m and n are reserved")
+    families[fam.name] = fam
+
+
+def add_rule(
+    pairs: dict[frozenset, BracketRule],
+    families: Mapping[str, Family],
+    rule: BracketRule,
+    what: str,
+) -> None:
+    """Validate one `what` rule against the families; index it by unordered pair."""
+    for name in (rule.left, rule.right):
+        if name not in families:
+            raise StructureError(f"{what} rule references unknown family {name!r}")
+        if families[name].lattice == CENTRAL:
+            raise StructureError(f"central family {name!r} cannot head a {what} rule")
+    key = frozenset((rule.left, rule.right))
+    if key in pairs:
+        raise StructureError(
+            f"duplicate rule for family pair ({rule.left}, {rule.right}) in the {what} rules"
+        )
+    for term in rule.terms:
+        if term.target not in families:
+            raise StructureError(f"{what} rule targets unknown family {term.target!r}")
+    pairs[key] = rule
 
 
 @dataclass(frozen=True)
@@ -262,22 +271,20 @@ class AlgebraSpec:
     families: tuple[Family, ...]
     rules: tuple[BracketRule, ...]
     params: Mapping[str, Fraction] = field(default_factory=dict, compare=False)
-    _fam: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # name -> Family in declaration order, filled by __post_init__
+    family_map: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for fam in self.families:
-            if fam.name in self._fam:
-                raise StructureError(f"duplicate family {fam.name}")
-            if fam.name in ("m", "n"):
-                raise StructureError("family names m and n are reserved")
-            self._fam[fam.name] = fam
-        self._pair.update(index_rules(self._fam, self.rules, "bracket"))
+            add_family(self.family_map, fam)
+        for rule in self.rules:
+            add_rule(self._pair, self.family_map, rule, "bracket")
 
     def family(self, name: str) -> Family:
         try:
-            return self._fam[name]
+            return self.family_map[name]
         except KeyError:
             raise StructureError(f"unknown family {name!r} in algebra {self.name}") from None
 
@@ -286,11 +293,11 @@ class AlgebraSpec:
 
     def max_offset2(self) -> int:
         """Largest doubled-index shift any bracket term can apply."""
-        worst = 0
+        worst, fams = 0, self.family_map
         for rule in self.rules:
-            sources = self._fam[rule.left].parity + self._fam[rule.right].parity
+            sources = fams[rule.left].parity + fams[rule.right].parity
             for term in rule.terms:
-                tf = self._fam[term.target]
+                tf = fams[term.target]
                 if tf.lattice != CENTRAL:
                     worst = max(worst, abs(2 * term.offset + tf.parity - sources))
         return worst

@@ -2,13 +2,18 @@
 
 Line-oriented grammar::
 
-    algebra NAME
+    algebra NAME                     # once per algebra file
     family NAME (integer|half) degree-offset INT
     central NAME [NAME ...]
-    bracket F(m) G(n) = term + term + ... | 0
-    product F(m) G(n) = ...          # extension used for TPA candidates
+    bracket F(m) G(n) = [+|-] term (+|- term)* | 0
+    product F(m) G(n) = ...          # product files only: TPA candidates
 
     term := poly [* delta(m+n[+-c])] * (TARGET(m+n[+-k]) | CENTRAL)
+
+An algebra file holds the first four kinds of statement; a product file,
+read against an existing algebra, holds only `product` statements.  Each
+statement is checked as it is read, by core's `add_family` and `add_rule`,
+so every error names the line at fault.
 
 Polynomial coefficients may mention m, n and declared parameter names;
 parameters are substituted at parse time, so parsed specs are
@@ -20,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Container, Mapping, Optional
 
 from .core import (
     CENTRAL,
@@ -32,6 +37,8 @@ from .core import (
     DeltaCondition,
     Family,
     StructureError,
+    add_family,
+    add_rule,
 )
 from .poly import Poly
 
@@ -114,20 +121,26 @@ class _TokenStream:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> Token:
+    def expect(self, kind: str, message: str, texts: Container[str] = ()) -> Token:
+        """The next token, which must have `kind` and, if `texts` is given, one of them."""
         tok = self.next()
-        if tok.kind != "OP" or tok.text != op:
-            raise DslError(f"expected {op!r}, found {tok.text!r}", tok.line, tok.col)
+        if tok.kind != kind or (texts and tok.text not in texts):
+            raise DslError(f"{message}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def accept(self, texts: Container[str]) -> Optional[Token]:
+        """Consume and return the next token if it is an operator in `texts`."""
+        tok = self.peek()
+        if tok is None or tok.kind != "OP" or tok.text not in texts:
+            return None
+        self.pos += 1
+        return tok
 
 
 class _PolyParser:
     """Recursive-descent parser for rational polynomials in m, n, params."""
 
-    def __init__(self, stream: _TokenStream, params: Mapping[str, Fraction], families: set[str]):
+    def __init__(self, stream: _TokenStream, params: Mapping[str, Fraction], families: Container[str]):
         self.s = stream
         self.params = params
         self.families = families
@@ -135,32 +148,25 @@ class _PolyParser:
 
     def parse_expr(self) -> Poly:
         poly = self.parse_term()
-        while True:
-            tok = self.s.peek()
-            if tok is not None and tok.kind == "OP" and tok.text in "+-":
-                self.s.next()
-                rhs = self.parse_term()
-                poly = poly + rhs if tok.text == "+" else poly - rhs
-            else:
-                return poly
+        while (tok := self.s.accept("+-")) is not None:
+            rhs = self.parse_term()
+            poly = poly + rhs if tok.text == "+" else poly - rhs
+        return poly
 
     def parse_term(self) -> Poly:
         poly = self.parse_factor()
-        while True:
-            tok = self.s.peek()
-            if tok is not None and tok.kind == "OP" and tok.text in "*/":
-                self.s.next()
-                rhs = self.parse_factor()
-                if tok.text == "*":
-                    poly = poly * rhs
-                else:
-                    if not rhs.is_constant():
-                        raise DslError("division only by constants", tok.line, tok.col)
-                    if rhs.is_zero():
-                        raise DslError("division by zero", tok.line, tok.col)
-                    poly = poly / rhs
-            else:
-                return poly
+        while (tok := self.s.accept("*/")) is not None:
+            poly = poly * self.parse_factor() if tok.text == "*" else self.divide(poly, tok)
+        return poly
+
+    def divide(self, poly: Poly, slash: Token) -> Poly:
+        """`poly` divided by the factor after `slash`, which must be a nonzero constant."""
+        rhs = self.parse_factor()
+        if not rhs.is_constant():
+            raise DslError("division only by constants", slash.line, slash.col)
+        if rhs.is_zero():
+            raise DslError("division by zero", slash.line, slash.col)
+        return poly / rhs
 
     def parse_factor(self) -> Poly:
         tok = self.s.next()
@@ -172,7 +178,7 @@ class _PolyParser:
                 )
             if tok.text == "(":
                 poly = self.parse_expr()
-                self.s.expect_op(")")
+                self.s.expect("OP", "expected ')'", ")")
                 poly = self._maybe_power(poly)
             else:
                 poly = self.parse_factor()
@@ -196,79 +202,71 @@ class _PolyParser:
         raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
     def _maybe_power(self, poly: Poly) -> Poly:
-        tok = self.s.peek()
-        if tok is not None and tok.kind == "OP" and tok.text == "^":
-            self.s.next()
-            num = self.s.next()
-            if num.kind != "NUMBER":
-                raise DslError("exponent must be a nonnegative integer", num.line, num.col)
-            k = int(num.text)
-            if k > MAX_EXPONENT:
-                raise DslError(
-                    f"exponent {num.text} exceeds the maximum {MAX_EXPONENT}", num.line, num.col
-                )
-            degree = max((em + en for em, en in poly.coeffs), default=0)
-            if k * degree > MAX_EXPONENT:
-                raise DslError(
-                    f"power of degree {k * degree} exceeds the maximum {MAX_EXPONENT}",
-                    num.line,
-                    num.col,
-                )
-            # coefficient size of poly^k, estimated as k * bits(terms * largest part)
-            size = max(
-                (max(c.numerator.bit_length(), c.denominator.bit_length())
-                 for c in poly.coeffs.values()),
-                default=0,
+        if self.s.accept("^") is None:
+            return poly
+        num = self.s.expect("NUMBER", "exponent must be a nonnegative integer")
+        k = int(num.text)
+        if k > MAX_EXPONENT:
+            raise DslError(
+                f"exponent {num.text} exceeds the maximum {MAX_EXPONENT}", num.line, num.col
             )
-            bits = k * (size + len(poly.coeffs).bit_length())
-            if bits > MAX_POWER_BITS:
-                raise DslError(
-                    f"power of about {bits} bits exceeds the maximum {MAX_POWER_BITS}",
-                    num.line,
-                    num.col,
-                )
-            return poly ** k
-        return poly
+        degree = max((em + en for em, en in poly.coeffs), default=0)
+        if k * degree > MAX_EXPONENT:
+            raise DslError(
+                f"power of degree {k * degree} exceeds the maximum {MAX_EXPONENT}",
+                num.line,
+                num.col,
+            )
+        # coefficient size of poly^k, estimated as k * bits(terms * largest part)
+        size = max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length())
+             for c in poly.coeffs.values()),
+            default=0,
+        )
+        bits = k * (size + len(poly.coeffs).bit_length())
+        if bits > MAX_POWER_BITS:
+            raise DslError(
+                f"power of about {bits} bits exceeds the maximum {MAX_POWER_BITS}",
+                num.line,
+                num.col,
+            )
+        return poly ** k
+
+
+def _signed_int(stream: _TokenStream, sign: Optional[Token], message: str) -> int:
+    """The integer literal after `sign`, an already consumed '+' or '-' (or None)."""
+    value = int(stream.expect("NUMBER", message).text)
+    return -value if sign is not None and sign.text == "-" else value
 
 
 def _parse_rhs_terms(
     stream: _TokenStream,
     params: Mapping[str, Fraction],
-    families: dict[str, Family],
+    families: Mapping[str, Family],
 ) -> list[BracketTerm]:
-    """Parse `term (+|- term)*` or the literal 0."""
+    """Parse `[+|-] term ((+|-) term)*` or the literal 0."""
     first = stream.peek()
     if first is not None and first.kind == "NUMBER" and first.text == "0" and stream.pos + 1 == len(stream.tokens):
         stream.next()
         return []
-    pp = _PolyParser(stream, params, set(families))
+    pp = _PolyParser(stream, params, families)
     terms: list[BracketTerm] = []
-    sign = Fraction(1)
+    sign = stream.accept("+-")
     while True:
-        coeff = Poly.const(sign)
+        coeff = Poly.const(-1 if sign is not None and sign.text == "-" else 1)
         delta: Optional[DeltaCondition] = None
-        target: Optional[tuple[str, int, Token]] = None
-        while True:
-            tok = stream.peek()
-            if tok is None:
-                break
-            if tok.kind == "OP" and tok.text in "+-":
-                break
-            if tok.kind == "OP" and tok.text == "*":
-                stream.next()
+        target: Optional[tuple[str, int]] = None
+        while (tok := stream.peek()) is not None and not (tok.kind == "OP" and tok.text in "+-"):
+            if stream.accept("*") is not None:
                 continue
-            if tok.kind == "OP" and tok.text == "/":
-                stream.next()
-                div = pp.parse_factor()
-                if not div.is_constant() or div.is_zero():
-                    raise DslError("division only by nonzero constants", tok.line, tok.col)
-                coeff = coeff / div
+            if stream.accept("/") is not None:
+                coeff = pp.divide(coeff, tok)
                 continue
             if tok.kind == "IDENT" and tok.text == "delta":
                 stream.next()
-                stream.expect_op("(")
+                stream.expect("OP", "expected '('", "(")
                 affine = pp.parse_expr()
-                stream.expect_op(")")
+                stream.expect("OP", "expected ')'", ")")
                 shift = _affine_shift(affine, tok)
                 if delta is not None:
                     raise DslError("at most one delta per term", tok.line, tok.col)
@@ -276,21 +274,18 @@ def _parse_rhs_terms(
                 continue
             if tok.kind == "IDENT" and tok.text in families:
                 stream.next()
-                offset = _parse_target_index(stream, families[tok.text], tok)
+                offset = _parse_target_index(stream, families[tok.text])
                 if target is not None:
                     raise DslError("more than one target in a term", tok.line, tok.col)
-                target = (tok.text, offset, tok)
+                target = (tok.text, offset)
                 continue
             coeff = coeff * pp.parse_factor()
         if target is None:
-            tok = stream.peek() or Token("OP", "", stream.line, 1)
-            raise DslError("term has no target family", stream.line, tok.col or 1)
+            raise DslError("term has no target family", stream.line, tok.col if tok else 1)
         terms.append(BracketTerm(coeff, target[0], target[1], delta))
-        nxt = stream.peek()
-        if nxt is None:
+        sign = stream.accept("+-")
+        if sign is None:
             return terms
-        stream.next()
-        sign = Fraction(1) if nxt.text == "+" else Fraction(-1)
 
 
 def _affine_shift(affine: Poly, tok: Token) -> Fraction:
@@ -304,167 +299,112 @@ def _affine_shift(affine: Poly, tok: Token) -> Fraction:
     return shift
 
 
-def _parse_target_index(stream: _TokenStream, family: Family, tok: Token) -> int:
+def _parse_target_index(stream: _TokenStream, family: Family) -> int:
     if family.lattice == CENTRAL:
-        nxt = stream.peek()
-        if nxt is not None and nxt.kind == "OP" and nxt.text == "(":
-            raise DslError(f"central family {family.name} takes no index", nxt.line, nxt.col)
+        paren = stream.accept("(")
+        if paren is not None:
+            raise DslError(f"central family {family.name} takes no index", paren.line, paren.col)
         return 0
-    stream.expect_op("(")
-    var_m = stream.next()
-    if var_m.kind != "IDENT" or var_m.text != "m":
-        raise DslError("target index must start with m+n", var_m.line, var_m.col)
-    stream.expect_op("+")
-    var_n = stream.next()
-    if var_n.kind != "IDENT" or var_n.text != "n":
-        raise DslError("target index must start with m+n", var_n.line, var_n.col)
-    offset = 0
-    nxt = stream.peek()
-    if nxt is not None and nxt.kind == "OP" and nxt.text in "+-":
-        stream.next()
-        num = stream.next()
-        if num.kind != "NUMBER":
-            raise DslError("target offset must be an integer", num.line, num.col)
-        offset = int(num.text) if nxt.text == "+" else -int(num.text)
-    stream.expect_op(")")
+    stream.expect("OP", "expected '('", "(")
+    stream.expect("IDENT", "target index must start with m+n", ("m",))
+    stream.expect("OP", "expected '+'", "+")
+    stream.expect("IDENT", "target index must start with m+n", ("n",))
+    sign = stream.accept("+-")
+    offset = _signed_int(stream, sign, "target offset must be an integer") if sign else 0
+    stream.expect("OP", "expected ')'", ")")
     return offset
 
 
-def _parse_pair_header(stream: _TokenStream, families: dict[str, Family], keyword: str) -> tuple[str, str]:
+def _parse_pair_header(stream: _TokenStream, keyword: str) -> tuple[str, str]:
+    """`F(m) G(n) =`: the two family names; core checks them against the families."""
     names = []
     for var in ("m", "n"):
-        ident = stream.next()
-        if ident.kind != "IDENT":
-            raise DslError(f"expected a family name after {keyword!r}", ident.line, ident.col)
-        if ident.text not in families:
-            raise DslError(f"unknown family {ident.text!r}", ident.line, ident.col)
-        if families[ident.text].lattice == CENTRAL:
-            raise DslError(
-                f"central family {ident.text!r} cannot head a {keyword}", ident.line, ident.col
-            )
-        stream.expect_op("(")
-        v = stream.next()
-        if v.kind != "IDENT" or v.text != var:
-            raise DslError(f"expected index variable {var!r}", v.line, v.col)
-        stream.expect_op(")")
-        names.append(ident.text)
-    stream.expect_op("=")
+        names.append(stream.expect("IDENT", f"expected a family name after {keyword!r}").text)
+        stream.expect("OP", "expected '('", "(")
+        stream.expect("IDENT", f"expected index variable {var!r}", (var,))
+        stream.expect("OP", "expected ')'", ")")
+    stream.expect("OP", "expected '='", "=")
     return names[0], names[1]
+
+
+def _validated(tok: Token, check: Callable[..., None], *args) -> None:
+    """Run one of core's validators, reporting its StructureError at `tok`."""
+    try:
+        check(*args)
+    except StructureError as exc:
+        raise DslError(str(exc), tok.line, tok.col) from exc
 
 
 @dataclass
 class _ParsedBody:
-    name: str
-    families: list[Family]
+    name: Optional[str]
+    families: dict[str, Family]
     rules: list[BracketRule]
-    products: list[BracketRule]
+
+
+_ALGEBRA_STATEMENTS = ("algebra", "family", "central", "bracket")
+_PRODUCT_STATEMENTS = ("product",)
 
 
 def _parse_body(
     text: str,
     params: Mapping[str, Fraction],
-    known_families: Optional[dict[str, Family]] = None,
-    require_header: bool = True,
+    known_families: Optional[Mapping[str, Family]] = None,
 ) -> _ParsedBody:
-    name = ""
+    """Read an algebra definition, or with `known_families` a product file."""
+    if known_families is None:
+        allowed, where = _ALGEBRA_STATEMENTS, "an algebra definition"
+    else:
+        allowed, where = _PRODUCT_STATEMENTS, "a product file"
     families: dict[str, Family] = dict(known_families or {})
-    order: list[Family] = list(families.values()) if known_families else []
-    rules: list[BracketRule] = []
-    products: list[BracketRule] = []
-    seen_pairs: set[frozenset] = set()
-    seen_products: set[frozenset] = set()
-    header_seen = False
+    name: Optional[str] = None
+    pairs: dict[frozenset, BracketRule] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
         if not tokens:
             continue
         stream = _TokenStream(tokens, line_no)
-        head = stream.next()
-        if head.kind != "IDENT":
-            raise DslError(f"expected a statement keyword, found {head.text!r}", line_no, head.col)
-
-        if head.text == "algebra":
-            ident = stream.next()
-            if ident.kind != "IDENT":
-                raise DslError("expected an algebra name", ident.line, ident.col)
-            name = ident.text
-            header_seen = True
-        elif head.text == "family":
-            ident = stream.next()
-            lattice = stream.next()
-            if lattice.kind != "IDENT" or lattice.text not in (INTEGER, HALF):
-                raise DslError("family lattice must be 'integer' or 'half'", lattice.line, lattice.col)
-            kw = stream.next()
-            if kw.kind != "IDENT" or kw.text != "degree-offset":
-                raise DslError("expected 'degree-offset'", kw.line, kw.col)
-            shift_sign = 1
-            num = stream.next()
-            if num.kind == "OP" and num.text in "+-":
-                shift_sign = -1 if num.text == "-" else 1
-                num = stream.next()
-            if num.kind != "NUMBER":
-                raise DslError("degree-offset must be an integer", num.line, num.col)
-            if ident.text in families:
-                raise DslError(f"duplicate family {ident.text!r}", ident.line, ident.col)
-            fam = Family(ident.text, lattice.text, shift_sign * int(num.text))
-            families[fam.name] = fam
-            order.append(fam)
-        elif head.text == "central":
-            any_name = False
-            while not stream.at_end():
-                ident = stream.next()
-                if ident.kind != "IDENT":
-                    raise DslError("expected a central generator name", ident.line, ident.col)
-                if ident.text in families:
-                    raise DslError(f"duplicate family {ident.text!r}", ident.line, ident.col)
-                fam = Family(ident.text, CENTRAL)
-                families[fam.name] = fam
-                order.append(fam)
-                any_name = True
-            if not any_name:
-                raise DslError("central statement needs at least one name", line_no, head.col)
-        elif head.text in ("bracket", "product"):
-            left, right = _parse_pair_header(stream, families, head.text)
-            terms = _parse_rhs_terms(stream, params, families)
-            if not stream.at_end():
-                tok = stream.next()
-                raise DslError(f"trailing input {tok.text!r}", tok.line, tok.col)
-            key = frozenset((left, right))
-            if head.text == "bracket":
-                if key in seen_pairs:
-                    raise DslError(
-                        f"duplicate rule for family pair ({left}, {right})", line_no, head.col
-                    )
-                seen_pairs.add(key)
-                rules.append(BracketRule(left, right, tuple(terms)))
-            else:
-                if key in seen_products:
-                    raise DslError(
-                        f"duplicate product rule for family pair ({left}, {right})",
-                        line_no,
-                        head.col,
-                    )
-                seen_products.add(key)
-                products.append(BracketRule(left, right, tuple(terms)))
-        else:
+        head = stream.expect("IDENT", "expected a statement keyword")
+        if head.text not in allowed:
+            if head.text in _ALGEBRA_STATEMENTS + _PRODUCT_STATEMENTS:
+                raise DslError(f"{head.text} statements are not allowed in {where}", line_no, head.col)
             raise DslError(f"unknown statement {head.text!r}", line_no, head.col)
 
-    if require_header and not header_seen:
-        raise DslError("missing 'algebra NAME' header", 1, 1)
-    return _ParsedBody(name, order, rules, products)
+        if head.text == "algebra":
+            if name is not None:
+                raise DslError("duplicate 'algebra' header", line_no, head.col)
+            name = stream.expect("IDENT", "expected an algebra name").text
+        elif head.text == "family":
+            ident = stream.expect("IDENT", "expected a family name")
+            lattice = stream.expect("IDENT", "family lattice must be 'integer' or 'half'", (INTEGER, HALF))
+            stream.expect("IDENT", "expected 'degree-offset'", ("degree-offset",))
+            shift2 = _signed_int(stream, stream.accept("+-"), "degree-offset must be an integer")
+            _validated(ident, add_family, families, Family(ident.text, lattice.text, shift2))
+        elif head.text == "central":
+            while True:
+                ident = stream.expect("IDENT", "expected a central generator name")
+                _validated(ident, add_family, families, Family(ident.text, CENTRAL))
+                if stream.peek() is None:
+                    break
+        else:
+            left, right = _parse_pair_header(stream, head.text)
+            rule = BracketRule(left, right, tuple(_parse_rhs_terms(stream, params, families)))
+            _validated(head, add_rule, pairs, families, rule, head.text)
+        extra = stream.peek()
+        if extra is not None:
+            raise DslError(f"trailing input {extra.text!r}", extra.line, extra.col)
+
+    return _ParsedBody(name, families, list(pairs.values()))
 
 
 def parse_algebra(text: str, params: Mapping[str, Fraction] | None = None) -> AlgebraSpec:
     """Parse .liealg source into a validated AlgebraSpec."""
     params = {k: Fraction(v) for k, v in (params or {}).items()}
     body = _parse_body(text, params)
-    if body.products:
-        raise DslError("product statements are not allowed in an algebra definition", 1, 1)
-    try:
-        return AlgebraSpec(body.name, tuple(body.families), tuple(body.rules), params)
-    except StructureError as exc:
-        raise DslError(str(exc), 1, 1) from exc
+    if body.name is None:
+        raise DslError("missing 'algebra NAME' header", 1, 1)
+    return AlgebraSpec(body.name, tuple(body.families.values()), tuple(body.rules), params)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +457,8 @@ def _term_str(term: BracketTerm, families: Mapping[str, Family]) -> str:
 def _canonical_terms(
     left: str, right: str, terms: tuple[BracketTerm, ...], antisymmetric: bool
 ) -> tuple[str, str, tuple[BracketTerm, ...]]:
-    """Orient the pair alphabetically; flipping negates bracket terms."""
+    """Orient the pair alphabetically (flipping negates bracket terms), sum
+    the terms that share target, offset and delta, and drop zero sums."""
     if right < left:
         flipped = []
         for t in terms:
@@ -526,6 +467,11 @@ def _canonical_terms(
                 coeff = -coeff
             flipped.append(BracketTerm(coeff, t.target, t.offset, t.delta))
         left, right, terms = right, left, tuple(flipped)
+    sums: dict[tuple, Poly] = {}
+    for t in terms:
+        like = (t.target, t.offset, t.delta)
+        sums[like] = sums[like] + t.coeff if like in sums else t.coeff
+    terms = tuple(BracketTerm(c, *like) for like, c in sums.items() if not c.is_zero())
     key = lambda t: (
         t.target,
         t.offset,
@@ -561,8 +507,7 @@ def render_algebra(spec: AlgebraSpec) -> str:
         lines.append(f"family {fam.name} {fam.lattice} degree-offset {fam.shift2}")
     if centrals:
         lines.append("central " + " ".join(centrals))
-    fam_map = {f.name: f for f in spec.families}
-    lines.extend(_rule_lines("bracket", spec.rules, fam_map, antisymmetric=True))
+    lines.extend(_rule_lines("bracket", spec.rules, spec.family_map, antisymmetric=True))
     return "\n".join(lines) + "\n"
 
 

@@ -37,10 +37,10 @@ from .core import (
     Element,
     StructureError,
     Report,
+    add_rule,
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
     eval_rule,
-    index_rules,
     window_check,
 )
 from .derivations import residual_terms
@@ -64,8 +64,8 @@ class ProductSpec:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        families = {f.name: f for f in self.algebra.families}
-        self._pair.update(index_rules(families, self.rules, "product"))
+        for rule in self.rules:
+            add_rule(self._pair, self.algebra.family_map, rule, "product")
 
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
         return self._pair.get(frozenset((left, right)))
@@ -234,20 +234,12 @@ def parse_products(text: str, spec: AlgebraSpec) -> ProductSpec:
     """Parse .liealg `product` statements against an existing algebra."""
     from . import dsl
 
-    families = {f.name: f for f in spec.families}
-    body = dsl._parse_body(text, spec.params, known_families=families, require_header=False)
-    if body.rules:
-        raise dsl.DslError("bracket statements are not allowed in a product file", 1, 1)
-    try:
-        return ProductSpec(spec, tuple(body.products))
-    except StructureError as exc:
-        raise dsl.DslError(str(exc), 1, 1) from exc
+    return ProductSpec(spec, tuple(dsl._parse_body(text, spec.params, spec.family_map).rules))
 
 
 def render_products(prod: ProductSpec) -> str:
     """Canonical `product` statements (symmetric orientation flip)."""
     from . import dsl
 
-    fam_map = {f.name: f for f in prod.algebra.families}
-    lines = dsl._rule_lines("product", prod.rules, fam_map, antisymmetric=False)
+    lines = dsl._rule_lines("product", prod.rules, prod.algebra.family_map, antisymmetric=False)
     return "\n".join(lines) + "\n" if lines else ""

@@ -102,6 +102,13 @@ class TestValidate:
         assert code == 2
         assert message in err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.liealg"
+        path.write_bytes(b"algebra a\n# \xff\nfamily L integer degree-offset 0\n")
+        code, _, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert "is not UTF-8 text" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, ["validate", "/nonexistent/x.liealg"])
         assert code == 2
@@ -227,6 +234,15 @@ class TestCheckTpa:
         data = json.loads(out)
         failing = [r for r in data["checks"] if not r["passed"]]
         assert [r["check"] for r in failing] == ["compatibility"]
+
+    def test_non_utf8_product_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "prod.liealg"
+        path.write_bytes(b"# \xff\nproduct L(m) L(n) = (1)*M(m+n)\n")
+        code, _, err = run(capsys, [
+            "check-tpa", "builtin:so_hat", "--product", str(path),
+        ])
+        assert code == 2
+        assert "product file" in err and "is not UTF-8 text" in err
 
     def test_alpha_with_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "prod.liealg"

@@ -2,9 +2,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieverify import DslError, catalog, parse_algebra, render_algebra, structurally_equal
 from lieverify.core import CENTRAL, BasisSymbol, Element, bracket
+from lieverify.tpa import parse_products
 
 
 WITT_CANONICAL = (
@@ -165,6 +167,30 @@ def test_canonical_orientation_flip():
             "line 2, col 32: unexpected character '\u0663'",
             id="arabic-indic-digit",
         ),
+        # each of these names its own line, not the file's first
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nfamily m integer degree-offset 0",
+            "line 3, col 8: family names m and n are reserved",
+            id="reserved-family",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nproduct L(m) L(n) = 0",
+            "line 3, col 1: product statements are not allowed in an algebra definition",
+            id="product-in-algebra",
+        ),
+        pytest.param(
+            "algebra a\nfamily ( integer degree-offset 0",
+            "line 2, col 8: expected a family name, found '('",
+            id="family-name-operator",
+        ),
+        pytest.param(
+            "algebra a\nfamily 3 integer degree-offset 0",
+            "line 2, col 8: expected a family name, found '3'",
+            id="family-name-number",
+        ),
+        pytest.param("algebra a\nalgebra b", "line 2, col 1: duplicate 'algebra' header",
+                     id="second-header"),
+        pytest.param("algebra a b", "line 1, col 11: trailing input 'b'", id="trailing-input"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -198,3 +224,86 @@ def test_degree_offset_roundtrip():
     for fam in spec.families:
         if fam.lattice != CENTRAL:
             assert reparsed.family(fam.name).shift2 == fam.shift2
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("product L(m) L(n) = 0\nbracket L(m) L(n) = 0",
+         "line 2, col 1: bracket statements are not allowed in a product file"),
+        ("algebra x", "line 1, col 1: algebra statements are not allowed in a product file"),
+        ("product L(m) L(n) = 0\nfamily Q integer degree-offset 0",
+         "line 2, col 1: family statements are not allowed in a product file"),
+        ("product L(m) L(n) = 0\n\nproduct L(m) L(n) = (1)*L(m+n)",
+         "line 3, col 1: duplicate rule for family pair (L, L) in the product rules"),
+    ],
+    ids=["bracket", "algebra", "family", "duplicate-pair"],
+)
+def test_product_parse_errors(text, fragment):
+    with pytest.raises(DslError) as err:
+        parse_products(text, catalog.builtin("witt"))
+    assert fragment in str(err.value)
+
+
+def test_leading_sign():
+    text = WITT_CANONICAL.replace("= (n-m)", "= -(m-n)")
+    assert render_algebra(parse_algebra(text)) == WITT_CANONICAL
+
+
+_RULE_HEAD = (
+    "algebra t\nfamily L integer degree-offset 0\nfamily M integer degree-offset 0\n"
+    "central C\nbracket L(m) M(n) = "
+)
+# a summand a*m + b*n + c times one of five targets; equal targets are like terms
+_SUMMAND = st.tuples(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from(["M(m+n)", "M(m+n+1)", "M(m+n-2)", "delta(m+n)*C", "delta(m+n-1)*C"]),
+)
+
+
+def _summand(abc, target):
+    a, b, c = abc
+    return f"({a}*m + {b}*n + {c})*{target}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_SUMMAND, st.booleans()), min_size=1, max_size=8))
+def test_render_merges_like_and_zero_terms(summands):
+    # the split form writes every summand, zeros included, each led by a sign
+    split = "".join(
+        f" - {_summand([-x for x in abc], target)}" if negate else f" + {_summand(abc, target)}"
+        for (abc, target), negate in summands
+    )
+    sums = {}
+    for (abc, target), _ in summands:
+        sums[target] = [x + y for x, y in zip(sums.get(target, (0, 0, 0)), abc)]
+    merged = " + ".join(_summand(abc, t) for t, abc in sums.items() if any(abc)) or "0"
+    once = render_algebra(parse_algebra(_RULE_HEAD + split))
+    assert once == render_algebra(parse_algebra(_RULE_HEAD + merged))
+    assert render_algebra(parse_algebra(once)) == once
+
+
+_WORDS = (
+    "algebra", "family", "central", "bracket", "product", "integer", "half", "degree-offset",
+    "delta", "L", "Y", "C", "m", "n", "lambda", "0", "1", "16",
+    "+", "-", "*", "/", "^", "**", "(", ")", "=", ",",
+)
+_PRELUDE = "algebra a\nfamily L integer degree-offset 0\nfamily Y half degree-offset 1\ncentral C\n"
+_LINE = st.builds(str.join, st.sampled_from([" ", ""]), st.lists(st.sampled_from(_WORDS), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, min_size=1, max_size=3))
+def test_reader_raises_only_dsl_errors(lines):
+    """Random lines over the format's alphabet either parse or raise DslError."""
+    text = "\n".join(lines)
+    algebra = parse_algebra(_PRELUDE)
+    for read in (
+        lambda: parse_algebra(_PRELUDE + text, {"lambda": Fraction(1, 2)}),
+        lambda: parse_algebra(text),
+        lambda: parse_products(text, algebra),
+    ):
+        try:
+            read()
+        except DslError:
+            pass
