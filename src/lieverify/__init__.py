@@ -20,7 +20,7 @@ from .core import (
     check_grading,
     check_jacobi,
     check_skew,
-    jacobi_residual,
+    jacobi_terms,
 )
 from .poly import Poly
 from .dsl import DslError, parse_algebra, render_algebra, structurally_equal
@@ -34,7 +34,6 @@ from .derivations import (
 from .tpa import (
     ProductSpec,
     check_tpa,
-    left_mult_derivation,
     parse_products,
     product,
     render_products,
@@ -71,8 +70,7 @@ __all__ = [
     "check_tpa",
     "classify_case",
     "derivation_residual",
-    "jacobi_residual",
-    "left_mult_derivation",
+    "jacobi_terms",
     "parse_algebra",
     "parse_products",
     "product",

@@ -388,31 +388,31 @@ def bracket_symbols(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol) -> dict[B
     return out
 
 
-def _as_element(x: Element | BasisSymbol) -> Element:
-    if isinstance(x, BasisSymbol):
-        return Element.basis(x)
-    return x
+def bilinear(table: Callable, owner, x, y) -> dict[BasisSymbol, Fraction]:
+    """Bilinear extension of the basis-pair table `table(owner, sx, sy)`, as a fresh dict.
 
-
-def bilinear(table: Callable, owner, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
-    """Bilinear extension of the basis-pair table `table(owner, sx, sy)`."""
-    y = _as_element(y)
+    Each argument is a basis symbol or a symbol->coefficient mapping (an
+    Element works); a mapping on the right is expanded one symbol at a time.
+    """
     acc: dict[BasisSymbol, Fraction] = {}
-    for sx, cx in _as_element(x).items():
+    if not isinstance(y, BasisSymbol):
         for sy, cy in y.items():
-            axpy(acc, table(owner, sx, sy), cx * cy)
-    return Element(acc)
+            axpy(acc, bilinear(table, owner, x, sy), cy)
+        return acc
+    for sx, cx in ({x: 1} if isinstance(x, BasisSymbol) else x).items():
+        axpy(acc, table(owner, sx, y), cx)
+    return acc
 
 
 def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
     """Bilinear extension of the bracket rules to arbitrary elements."""
-    return bilinear(bracket_symbols, spec, x, y)
+    return Element(bilinear(bracket_symbols, spec, x, y))
 
 
 def window_check(
     check: str,
     tuples: Iterable[tuple[BasisSymbol, ...]],
-    residual: Callable[..., Element | Mapping[BasisSymbol, Fraction]],
+    residual: Callable[..., Mapping[BasisSymbol, Fraction]],
     message: str,
 ) -> Report:
     """Count `tuples` and record a violation for each nonzero residual(*t)."""
@@ -436,13 +436,15 @@ def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     )
 
 
-def jacobi_residual(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol) -> Element:
-    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y]."""
+def jacobi_terms(
+    spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, Fraction]:
+    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] as a symbol->coefficient dict."""
     acc: dict[BasisSymbol, Fraction] = {}
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         for sym, coeff in bracket_symbols(spec, a, b).items():
             axpy(acc, bracket_symbols(spec, sym, c), coeff)
-    return Element(acc)
+    return acc
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
@@ -454,7 +456,7 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     return window_check(
         "jacobi",
         itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        functools.partial(jacobi_residual, spec),
+        functools.partial(jacobi_terms, spec),
         "Jacobi identity broken",
     )
 

@@ -14,6 +14,7 @@ boundary artifacts.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .core import (
     bracket_symbols,
     format_index2,
     format_symbol,
+    window_check,
 )
 
 Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
@@ -307,12 +309,13 @@ def solve_degree(
         for c, v in full.items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
-        phi = lambda s: images.get(s, {})
-        if any(
-            residual_terms(spec, phi, x, y, delta)
-            for x, y in itertools.combinations(symbols, 2)
-        ):
-            checked = False
+        recheck = window_check(
+            "derivation",
+            itertools.combinations(symbols, 2),
+            functools.partial(residual_terms, spec, lambda s: images.get(s, {}), delta=delta),
+            "generator is not a delta-derivation",
+        )
+        checked = checked and recheck.passed
         interior = {
             unknowns[c]: v for c, v in full.items() if _is_core(unknowns[c], window.n_core2)
         }

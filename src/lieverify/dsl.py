@@ -411,29 +411,6 @@ def parse_algebra(text: str, params: Mapping[str, Fraction] | None = None) -> Al
 # canonical rendering
 
 
-def _poly_str(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    keys = sorted(poly.coeffs, key=lambda k: (-(k[0] + k[1]), -k[1], -k[0]))
-    out = []
-    for i, key in enumerate(keys):
-        coeff = poly.coeffs[key]
-        em, en = key
-        mono = "*".join(
-            (f"{v}^{e}" if e > 1 else v) for v, e in (("m", em), ("n", en)) if e
-        )
-        mag = abs(coeff)
-        if mono:
-            body = mono if mag == 1 else f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append(("-" if coeff < 0 else "+") + body)
-    return "".join(out)
-
-
 def _shift_str(shift: Fraction) -> str:
     if shift == 0:
         return ""
@@ -441,16 +418,14 @@ def _shift_str(shift: Fraction) -> str:
 
 
 def _term_str(term: BracketTerm, families: Mapping[str, Family]) -> str:
-    parts = [f"({_poly_str(term.coeff)})"]
+    parts = [f"({term.coeff})"]
     if term.delta is not None:
         parts.append(f"delta(m+n{_shift_str(term.delta.shift)})")
     fam = families[term.target]
     if fam.lattice == CENTRAL:
         parts.append(term.target)
     else:
-        off = term.offset
-        idx = "m+n" if off == 0 else ("m+n+" + str(off) if off > 0 else "m+n-" + str(-off))
-        parts.append(f"{term.target}({idx})")
+        parts.append(f"{term.target}(m+n{_shift_str(term.offset)})")
     return "*".join(parts)
 
 

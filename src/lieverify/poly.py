@@ -102,19 +102,30 @@ class Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Poly(0)"
-        parts = []
-        for (em, en), coeff in sorted(self.coeffs.items()):
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in (("m", em), ("n", en))
-                if e
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        keys = sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[1], -k[0]))
+        out = []
+        for i, key in enumerate(keys):
+            coeff = self.coeffs[key]
+            em, en = key
+            mono = "*".join(
+                (f"{v}^{e}" if e > 1 else v) for v, e in (("m", em), ("n", en)) if e
             )
-            parts.append(f"{coeff}*{mono}" if mono else str(coeff))
-        return "Poly(" + " + ".join(parts) + ")"
+            mag = abs(coeff)
+            if mono:
+                body = mono if mag == 1 else f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            if i == 0:
+                out.append(("-" if coeff < 0 else "") + body)
+            else:
+                out.append(("-" if coeff < 0 else "+") + body)
+        return "".join(out)
 
+    def __repr__(self) -> str:
+        return f"Poly({self})"
 
 M = Poly.var("m")
 N = Poly.var("n")

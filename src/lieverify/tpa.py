@@ -6,12 +6,12 @@ Lie bracket through the compatibility law
 The law says exactly that left multiplication phi = z*(-) is a
 1/2-derivation of the bracket: its residual is twice the 1/2-derivation
 residual phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]), so
-``compatibility_residual`` is computed by ``residual_terms``.
+``compatibility_terms`` is computed by ``residual_terms``.
 
-Every residual (associativity, compatibility, left multiplication) is a
-symbol->coefficient dict built from the memoized ``product_symbols`` and
-``bracket_symbols`` tables; an ``Element`` is built only when a check
-records a violation, or when a public function returns one.
+The residual kernels ``associativity_terms`` and ``compatibility_terms``
+return symbol->coefficient dicts built through ``core.bilinear`` from the
+memoized ``product_symbols`` and ``bracket_symbols`` tables; an ``Element``
+is built only when a check records a violation, or by ``product``.
 
 A candidate product is given by symmetric rules in the same shape as
 bracket rules.  ``check_tpa`` verifies commutativity (structural),
@@ -92,7 +92,7 @@ def product_symbols(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol) -> dict[B
 
 
 def product(prod: ProductSpec, x, y) -> Element:
-    return bilinear(product_symbols, prod, x, y)
+    return Element(bilinear(product_symbols, prod, x, y))
 
 
 def theorem_product(
@@ -139,29 +139,19 @@ def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     )
 
 
-def _times(
-    prod: ProductSpec, terms: Mapping[BasisSymbol, Fraction], s: BasisSymbol
-) -> dict[BasisSymbol, Fraction]:
-    """(sum of c*t over terms) * s as a symbol->coefficient dict."""
-    acc: dict[BasisSymbol, Fraction] = {}
-    for t, c in terms.items():
-        axpy(acc, product_symbols(prod, t, s), c)
-    return acc
-
-
 def _left_mult(prod: ProductSpec, z: Element | BasisSymbol):
     """Left multiplication s -> z*s as a symbol -> coefficient-dict map."""
     if isinstance(z, BasisSymbol):
         return functools.partial(product_symbols, prod, z)
-    return functools.partial(_times, prod, z.terms)
+    return functools.partial(bilinear, product_symbols, prod, z)
 
 
 def associativity_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """(x*y)*z - x*(y*z) as a dict, reading x*s as s*x: products are symmetric."""
-    lhs = _times(prod, product_symbols(prod, x, y), z)
-    return axpy(lhs, _times(prod, product_symbols(prod, y, z), x), -1)
+    lhs = bilinear(product_symbols, prod, product_symbols(prod, x, y), z)
+    return axpy(lhs, bilinear(product_symbols, prod, product_symbols(prod, y, z), x), -1)
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
@@ -173,7 +163,7 @@ def check_associative(prod: ProductSpec, bound2: int) -> Report:
     )
 
 
-def _compatibility_terms(
+def compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """2*z*[x,y] - [z*x, y] - [x, z*y]: twice the 1/2-derivation residual of z*(-)."""
@@ -181,17 +171,12 @@ def _compatibility_terms(
     return {sym: 2 * c for sym, c in terms.items()}
 
 
-def compatibility_residual(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol) -> Element:
-    """2*z*[x,y] - [z*x, y] - [x, z*y] as an Element."""
-    return Element(_compatibility_terms(prod, x, y, z))
-
-
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     symbols = list(prod.algebra.basis_symbols(bound2))
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        functools.partial(_compatibility_terms, prod),
+        functools.partial(compatibility_terms, prod),
         "compatibility broken",
     )
 
@@ -203,19 +188,6 @@ def check_tpa(prod: ProductSpec, bound2: int) -> list[Report]:
         check_associative(prod, bound2),
         check_compatibility(prod, bound2),
     ]
-
-
-def left_mult_derivation(
-    prod: ProductSpec, z: Element | BasisSymbol, bound2: int
-) -> dict[BasisSymbol, Element]:
-    """The map x -> z*x as a coefficient table over the window.
-
-    By the transposed-Poisson compatibility law this is a 1/2-derivation
-    of the bracket; feed the table to ``derivation_residual`` to verify.
-    """
-    phi = _left_mult(prod, z)
-    symbols = prod.algebra.basis_symbols(bound2)
-    return {sym: Element(image) for sym in symbols if (image := phi(sym))}
 
 
 def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:

@@ -136,7 +136,7 @@ def _pin(name, params):
     entry["families"] = [[f.name, f.lattice, f.shift2] for f in spec.families]
     entry["terms"] = {
         f"{rule.left},{rule.right}": [
-            [dsl._poly_str(t.coeff), t.target, t.offset,
+            [str(t.coeff), t.target, t.offset,
              None if t.delta is None else str(t.delta.shift)]
             for t in rule.terms
         ]
