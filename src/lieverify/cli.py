@@ -47,6 +47,18 @@ class UsageError(ValueError):
 
 
 def _parse_fraction(text: str, what: str = "value") -> Fraction:
+    # Fraction() expands a decimal exponent, so 1e200000 would build a
+    # 200 001-digit integer: bound the digits written plus the exponent first
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(c.isdecimal() for c in mantissa)
+    try:
+        size += abs(int(exponent))
+    except ValueError:  # no exponent, one too long for int(), or not an integer
+        size += sum(c.isdecimal() for c in exponent)
+    if size > dsl.MAX_DIGITS:
+        raise UsageError(
+            f"invalid {what}: a rational of about {size} digits exceeds the maximum {dsl.MAX_DIGITS}"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -131,7 +143,10 @@ def _parse_degrees(spec_text: str, step: str) -> list[int]:
             raise UsageError(f"empty degree range {spec_text!r}")
         step2 = 1 if step == "half" else 2
         return list(range(lo2, hi2 + 1, step2))
-    return [_doubled(_parse_fraction(c, "degree"), "degree") for c in spec_text.split(",") if c]
+    degrees2 = [_doubled(_parse_fraction(c, "degree"), "degree") for c in spec_text.split(",") if c]
+    if not degrees2:
+        raise UsageError(f"empty degree list {spec_text!r}")
+    return degrees2
 
 
 def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:

@@ -6,6 +6,10 @@ lives on one lattice: `integer` (L_n), `half` (Y_{n+1/2}) or `central`
 (a single unindexed generator).  Bracket rules are listed for one
 orientation of each family pair; the opposite orientation is synthesized by
 antisymmetry.
+
+``bilinear`` extends a basis-pair table to a symbol->coefficient dict, as
+the residual kernel ``jacobi_terms`` returns one; ``bracket`` wraps it in an
+``Element``, and ``window_check`` builds one only for a violation.
 """
 from __future__ import annotations
 
@@ -165,8 +169,8 @@ def add_family(families: dict[str, Family], fam: Family) -> None:
     """Add `fam` to the name -> Family map, rejecting repeated and reserved names."""
     if fam.name in families:
         raise StructureError(f"duplicate family {fam.name}")
-    if fam.name in ("m", "n"):
-        raise StructureError("family names m and n are reserved")
+    if fam.name in ("m", "n", "delta"):
+        raise StructureError("family names m, n and delta are reserved")
     families[fam.name] = fam
 
 

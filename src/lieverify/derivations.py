@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
 from .linalg import axpy
+from .dsl import _shift_str
 from .core import (
     CENTRAL,
     AlgebraSpec,
@@ -283,10 +284,7 @@ def _describe(coeffs: dict[Unknown, Fraction]) -> str:
         if off2 is None:
             parts.append(f"{sf} -> {prefix}{tf}")
         else:
-            shift = "" if off2 == 0 else (
-                "+" + format_index2(off2) if off2 > 0 else "-" + format_index2(-off2)
-            )
-            parts.append(f"{sf}(n) -> {prefix}{tf}(n{shift})")
+            parts.append(f"{sf}(n) -> {prefix}{tf}(n{_shift_str(Fraction(off2, 2))})")
     return "; ".join(parts)
 
 
@@ -309,13 +307,12 @@ def solve_degree(
         for c, v in full.items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
-        recheck = window_check(
+        checked &= window_check(
             "derivation",
             itertools.combinations(symbols, 2),
             functools.partial(residual_terms, spec, lambda s: images.get(s, {}), delta=delta),
             "generator is not a delta-derivation",
-        )
-        checked = checked and recheck.passed
+        ).passed
         interior = {
             unknowns[c]: v for c, v in full.items() if _is_core(unknowns[c], window.n_core2)
         }

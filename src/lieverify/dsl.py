@@ -18,7 +18,9 @@ so every error names the line at fault.
 Polynomial coefficients may mention m, n and declared parameter names;
 parameters are substituted at parse time, so parsed specs are
 parameter-free.  Indices use the displayed convention: a `half` family
-written F(n) denotes the basis symbol with index n+1/2.
+written F(n) denotes the basis symbol with index n+1/2.  The names m, n
+and delta are reserved.  `render_algebra` prints coefficients with
+`Poly.__str__` and drops delta terms that are zero wherever they can fire.
 """
 from __future__ import annotations
 
@@ -112,12 +114,18 @@ class _TokenStream:
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def col(self) -> int:
+        """Column of the next token, or just past the last one at end of line."""
+        tok = self.peek()
+        if tok is not None:
+            return tok.col
+        last = self.tokens[-1]  # a stream is built only for a nonblank line
+        return last.col + len(last.text)
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            col = last.col + len(last.text) if last else 1
-            raise DslError("unexpected end of line", self.line, col)
+            raise DslError("unexpected end of line", self.line, self.col())
         self.pos += 1
         return tok
 
@@ -210,7 +218,7 @@ class _PolyParser:
             raise DslError(
                 f"exponent {num.text} exceeds the maximum {MAX_EXPONENT}", num.line, num.col
             )
-        degree = max((em + en for em, en in poly.coeffs), default=0)
+        degree = poly.degree()
         if k * degree > MAX_EXPONENT:
             raise DslError(
                 f"power of degree {k * degree} exceeds the maximum {MAX_EXPONENT}",
@@ -281,7 +289,7 @@ def _parse_rhs_terms(
                 continue
             coeff = coeff * pp.parse_factor()
         if target is None:
-            raise DslError("term has no target family", stream.line, tok.col if tok else 1)
+            raise DslError("term has no target family", stream.line, stream.col())
         terms.append(BracketTerm(coeff, target[0], target[1], delta))
         sign = stream.accept("+-")
         if sign is None:
@@ -429,11 +437,26 @@ def _term_str(term: BracketTerm, families: Mapping[str, Family]) -> str:
     return "*".join(parts)
 
 
+def _vanishes(coeff: Poly, delta: Optional[DeltaCondition]) -> bool:
+    """Whether coeff * [delta] is zero at every integer pair (m, n).
+
+    A non-integral shift c never fires.  On the line n = -m - c the coefficient
+    is a polynomial in m of degree at most d = deg(coeff): d + 1 zeros kill it.
+    """
+    if delta is None:
+        return coeff.is_zero()
+    c = delta.shift
+    return c.denominator != 1 or all(
+        coeff.evaluate(m, -m - c) == 0 for m in range(coeff.degree() + 1)
+    )
+
+
 def _canonical_terms(
     left: str, right: str, terms: tuple[BracketTerm, ...], antisymmetric: bool
 ) -> tuple[str, str, tuple[BracketTerm, ...]]:
     """Orient the pair alphabetically (flipping negates bracket terms), sum
-    the terms that share target, offset and delta, and drop zero sums."""
+    the terms that share target, offset and delta, and drop the sums that
+    vanish wherever they can fire."""
     if right < left:
         flipped = []
         for t in terms:
@@ -446,7 +469,7 @@ def _canonical_terms(
     for t in terms:
         like = (t.target, t.offset, t.delta)
         sums[like] = sums[like] + t.coeff if like in sums else t.coeff
-    terms = tuple(BracketTerm(c, *like) for like, c in sums.items() if not c.is_zero())
+    terms = tuple(BracketTerm(c, *like) for like, c in sums.items() if not _vanishes(c, like[2]))
     key = lambda t: (
         t.target,
         t.offset,

@@ -48,6 +48,9 @@ class Poly:
         """The polynomial with m and n exchanged."""
         return Poly({(en, em): c for (em, en), c in self.coeffs.items()})
 
+    def degree(self) -> int:
+        return max((em + en for em, en in self.coeffs), default=0)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from . import dsl
 from .core import (
     AlgebraSpec,
     BasisSymbol,
@@ -192,7 +193,6 @@ def check_tpa(prod: ProductSpec, bound2: int) -> list[Report]:
 
 def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:
     """Check that left multiplication by z is a 1/2-derivation."""
-    # evaluate z*s lazily: bracket outputs can fall outside a fixed table
     phi = _left_mult(prod, z)
     return window_check(
         "left-multiplication",
@@ -204,14 +204,10 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
 
 def parse_products(text: str, spec: AlgebraSpec) -> ProductSpec:
     """Parse .liealg `product` statements against an existing algebra."""
-    from . import dsl
-
     return ProductSpec(spec, tuple(dsl._parse_body(text, spec.params, spec.family_map).rules))
 
 
 def render_products(prod: ProductSpec) -> str:
     """Canonical `product` statements (symmetric orientation flip)."""
-    from . import dsl
-
     lines = dsl._rule_lines("product", prod.rules, prod.algebra.family_map, antisymmetric=False)
     return "\n".join(lines) + "\n" if lines else ""

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: exit codes, output formats, determinism."""
 import json
+import time
 
 import pytest
 
-from lieverify import cli
+from lieverify import cli, derivations
+from lieverify.core import window_check
 from lieverify.dsl import render_algebra
 from lieverify.catalog import builtin
 
@@ -201,6 +203,38 @@ class TestSolveDeriv:
         # delta=1 picks up the adjoint maps of the Witt algebra
         assert json.loads(out)["dims"] == {"-2": 1, "0": 1, "2": 1}
 
+    def test_failed_recheck_exit_1(self, capsys, monkeypatch):
+        # doubling one entry of the identity map leaves a nonzero residual
+        original = derivations._interior_basis
+
+        def spoiled(vectors, core_cols):
+            basis = original(vectors, core_cols)
+            basis[0][min(basis[0])] *= 2
+            return basis
+
+        rechecks = []
+
+        def recorded_window_check(*args):
+            rechecks.append(window_check(*args))
+            return rechecks[-1]
+
+        monkeypatch.setattr(derivations, "_interior_basis", spoiled)
+        monkeypatch.setattr(derivations, "window_check", recorded_window_check)
+        code, out, _ = run(capsys, [
+            "solve-deriv", "builtin:so_hat", "--degrees", "0", "--neq", "4", "--ncore", "1",
+        ])
+        assert code == 1
+        assert '"residual_checked": false' in out
+        assert [r.passed for r in rechecks] == [False]
+
+    def test_decimal_exponent_accepted(self, capsys):
+        code, out, _ = run(capsys, [
+            "solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "1",
+            "--delta", "5e-1",
+        ])
+        assert code == 0
+        assert json.loads(out)["delta"] == "1/2"
+
     def test_window_invariant_exit_2(self, capsys):
         code, _, _ = run(capsys, [
             "solve-deriv", "builtin:witt",
@@ -208,6 +242,38 @@ class TestSolveDeriv:
             "--neq", "4", "--ncore", "3",
         ])
         assert code == 2
+
+
+_SOLVE_WITT = ["solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "1"]
+_TPA_LT1 = ["check-tpa", "builtin:Ltilde1?lambda=1,mu=1/4", "--product", "builtin:theorem"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SOLVE_WITT + ["--delta", "1e200000"],
+     "invalid --delta: a rational of about 200001 digits exceeds the maximum 1000"),
+    (_SOLVE_WITT + ["--delta", "1e3000000"], "about 3000001 digits"),
+    (_SOLVE_WITT + ["--delta", "1e20000"], "about 20001 digits"),
+    (_SOLVE_WITT + ["--delta", "-3e-99999"], "about 100000 digits"),
+    (_SOLVE_WITT + ["--delta", "1e" + "9" * 5000], "about 5001 digits"),
+    (_SOLVE_WITT + ["--delta", "1" * 1001], "about 1001 digits"),
+    (_SOLVE_WITT + ["--degrees", "0..1e2000"], "invalid degree: a rational of about 2001 digits"),
+    (_SOLVE_WITT + ["--degrees", "0,1E5000"], "invalid degree: a rational of about 5001 digits"),
+    (_SOLVE_WITT + ["--expect", "1e5000=1"], "invalid degree: a rational of about 5001 digits"),
+    (_SOLVE_WITT + ["--degrees", ","], "empty degree list ','"),
+    (["validate", "builtin:Ltilde1?lambda=1e2000000,mu=1/4"],
+     "invalid parameter 'lambda': a rational of about 2000001 digits"),
+    (["validate", "builtin:Ltilde1", "--param", "lambda=1e20000", "--param", "mu=1/4"],
+     "invalid parameter 'lambda': a rational of about 20001 digits"),
+    (_TPA_LT1 + ["--alpha", "0:1e5000"], "invalid --alpha value: a rational of about 5001 digits"),
+    (_TPA_LT1 + ["--beta", "1:-1.5e-5000"], "invalid --beta value: a rational of about 5002 digits"),
+])
+def test_huge_or_empty_values_exit_2_fast(capsys, argv, message):
+    # the size is read off the text before Fraction() can expand the exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 class TestCheckTpa:

@@ -204,9 +204,10 @@ class TestSpecValidation:
         with pytest.raises(StructureError):
             AlgebraSpec("x", fams, (BracketRule("L", "C", (BracketTerm(ONE, "L"),)),))
 
-    def test_reserved_names(self):
+    @pytest.mark.parametrize("name", ["m", "n", "delta"])
+    def test_reserved_names(self, name):
         with pytest.raises(StructureError):
-            AlgebraSpec("x", (Family("m", "integer"),), ())
+            AlgebraSpec("x", (Family(name, "integer"),), ())
 
     def test_symbol_parity(self):
         from lieverify import catalog

@@ -170,8 +170,23 @@ def test_canonical_orientation_flip():
         # each of these names its own line, not the file's first
         pytest.param(
             "algebra a\nfamily L integer degree-offset 0\nfamily m integer degree-offset 0",
-            "line 3, col 8: family names m and n are reserved",
+            "line 3, col 8: family names m, n and delta are reserved",
             id="reserved-family",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nfamily delta integer degree-offset 0",
+            "line 3, col 8: family names m, n and delta are reserved",
+            id="reserved-family-delta",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nbracket L(m) L(n) = (n-m)",
+            "line 3, col 26: term has no target family",
+            id="no-target-at-end-of-line",
+        ),
+        pytest.param(
+            "algebra a\nfamily L integer degree-offset 0\nbracket L(m) L(n) = (n-m) + L(m+n)",
+            "line 3, col 27: term has no target family",
+            id="no-target-before-sign",
         ),
         pytest.param(
             "algebra a\nfamily L integer degree-offset 0\nproduct L(m) L(n) = 0",
@@ -243,6 +258,27 @@ def test_product_parse_errors(text, fragment):
     with pytest.raises(DslError) as err:
         parse_products(text, catalog.builtin("witt"))
     assert fragment in str(err.value)
+
+
+_WITT_C = "algebra w\nfamily L integer degree-offset 0\ncentral C\nbracket L(m) L(n) = (n-m)*L(m+n)"
+
+
+@pytest.mark.parametrize(
+    "term, vanishes",
+    [
+        ("(m+n)*delta(m+n)*C", True),  # zero wherever the delta fires
+        ("(1)*delta(m+n+1/2)*C", True),  # m + n is an integer: never fires
+        ("(m+n+2)*(m-n)*delta(m+n-2)*C", False),
+        ("(m+n-2)*(m-n)*delta(m+n-2)*C", True),  # degree 2, zero on the whole line
+        ("(n)*delta(m+n)*C", False),
+        ("(m^2-m)*delta(m+n)*C", False),  # zero at m = 0 and 1 only
+    ],
+)
+def test_render_drops_delta_terms_that_never_contribute(term, vanishes):
+    plain = parse_algebra(_WITT_C)
+    extended = parse_algebra(f"{_WITT_C} + {term}")
+    assert structurally_equal(plain, extended) is vanishes
+    assert ("delta" in render_algebra(extended)) is not vanishes
 
 
 def test_leading_sign():
