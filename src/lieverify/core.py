@@ -7,9 +7,8 @@ lives on one lattice: `integer` (L_n), `half` (Y_{n+1/2}) or `central`
 orientation of each family pair; the opposite orientation is synthesized by
 antisymmetry.
 
-``bilinear`` extends a basis-pair table to a symbol->coefficient dict, as
-the residual kernel ``jacobi_terms`` returns one; ``bracket`` wraps it in an
-``Element``, and ``window_check`` builds one only for a violation.
+``bilinear`` and residual kernels such as ``jacobi_terms`` return plain dicts;
+``bracket`` wraps one in an ``Element``; ``window_check`` builds one per violation.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ boundary artifacts.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -307,10 +306,11 @@ def solve_degree(
         for c, v in full.items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
+        phi = lambda s: images.get(s, {})
         checked &= window_check(
             "derivation",
             itertools.combinations(symbols, 2),
-            functools.partial(residual_terms, spec, lambda s: images.get(s, {}), delta=delta),
+            lambda x, y: residual_terms(spec, phi, x, y, delta),
             "generator is not a delta-derivation",
         ).passed
         interior = {
