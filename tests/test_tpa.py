@@ -94,7 +94,7 @@ class TestChecks:
         assert not compat.passed
         # residual is (n-m) M_{m+n+k}
         x, y, z = (so_hat.symbol("L", i) for i in (1, -1, 2))
-        res = Element(compatibility_terms(bad, x, y, z))
+        res = _compatibility(bad, x, y, z)
         assert res == Element({BasisSymbol("M", 4): F(-2)})
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
