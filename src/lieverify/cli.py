@@ -237,7 +237,7 @@ def cmd_solve_deriv(args) -> int:
     spec = load_algebra(args.src, args.param)
     degrees2 = _parse_degrees(args.degrees, args.step)
     expected = _parse_expect(args.expect, degrees2) if args.expect else None
-    window = Window.displayed(args.neq, args.ncore, args.nunk)
+    window = Window.displayed(args.neq, args.ncore)
     delta = _parse_fraction(args.delta, "--delta")
     report = solve_derivations(spec, degrees2, window, delta)
     payload = report.as_dict()
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", choices=("half", "integer"), default="half")
     p.add_argument("--neq", type=int, required=True, metavar="N", help="equation window")
     p.add_argument("--ncore", type=int, required=True, metavar="K", help="interior window")
-    p.add_argument("--nunk", type=int, default=None, metavar="U", help="unknown window (auto)")
     p.add_argument("--delta", default="1/2", metavar="Q", help="derivation scalar (default 1/2)")
     p.add_argument("--expect", metavar="D=K,...", help="expected dims, e.g. 0=2,1/2=1")
     p.set_defaults(func=cmd_solve_deriv)

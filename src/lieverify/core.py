@@ -200,37 +200,25 @@ def add_rule(
 class Window:
     """Truncation bounds in doubled-index units.
 
-    n_eq2 bounds the indices on which equations/checks are imposed, n_unk2
-    the indices where unknowns/values are tracked, n_core2 the interior kept
-    for reporting.  n_unk2 may be None and is then derived per degree from
-    the invariant n_unk >= 2*n_eq + max|offset| + |degree|.
+    n_eq2 bounds the indices on which equations/checks are imposed, n_core2
+    the interior kept for reporting.  The solver's unknowns follow from the
+    equations, so they need no bound of their own.
     """
 
     n_eq2: int
     n_core2: int
-    n_unk2: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_eq2 < 0 or self.n_core2 < 0:
             raise WindowError("window bounds must be nonnegative")
         if 2 * self.n_core2 > self.n_eq2:
             raise WindowError(
-                f"n_core ({self.n_core2}/2) must not exceed n_eq/2 ({self.n_eq2}/4)"
+                f"n_core {Fraction(self.n_core2, 2)} must not exceed n_eq/2 = {Fraction(self.n_eq2, 4)}"
             )
 
     @classmethod
-    def displayed(cls, n_eq: int = 8, n_core: int = 3, n_unk: Optional[int] = None) -> "Window":
-        return cls(2 * n_eq, 2 * n_core, None if n_unk is None else 2 * n_unk)
-
-    def resolve_nunk2(self, spec: "AlgebraSpec", g2: int = 0) -> int:
-        needed = 2 * self.n_eq2 + spec.max_offset2() + abs(g2)
-        if self.n_unk2 is None:
-            return needed
-        if self.n_unk2 < needed:
-            raise WindowError(
-                f"n_unk2={self.n_unk2} too small: invariant requires at least {needed}"
-            )
-        return self.n_unk2
+    def displayed(cls, n_eq: int = 8, n_core: int = 3) -> "Window":
+        return cls(2 * n_eq, 2 * n_core)
 
 
 @dataclass(frozen=True)
@@ -293,17 +281,6 @@ class AlgebraSpec:
 
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
         return self._pair.get(frozenset((left, right)))
-
-    def max_offset2(self) -> int:
-        """Largest doubled-index shift any bracket term can apply."""
-        worst, fams = 0, self.family_map
-        for rule in self.rules:
-            sources = fams[rule.left].parity + fams[rule.right].parity
-            for term in rule.terms:
-                tf = fams[term.target]
-                if tf.lattice != CENTRAL:
-                    worst = max(worst, abs(2 * term.offset + tf.parity - sources))
-        return worst
 
     def degree2(self, sym: BasisSymbol) -> int:
         fam = self.family(sym.family)

@@ -29,7 +29,6 @@ from .core import (
     BasisSymbol,
     Element,
     Window,
-    WindowError,
     bracket_symbols,
     format_index2,
     format_symbol,
@@ -75,8 +74,8 @@ def derivation_residual(
     return Element(residual_terms(spec, phi, x, y, delta))
 
 
-def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -> list[BasisSymbol]:
-    """All window symbols whose degree exceeds deg(source) by g2."""
+def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisSymbol]:
+    """All symbols whose degree exceeds deg(source) by g2, one per family."""
     deg2 = spec.degree2(source) + g2
     out = []
     for fam in spec.families:
@@ -85,18 +84,22 @@ def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int, n_unk2: int) -
                 out.append(BasisSymbol(fam.name, None))
             continue
         twice = deg2 - fam.shift2
-        if twice % 2 != fam.parity:
-            continue
-        if abs(twice) <= n_unk2:
+        if twice % 2 == fam.parity:
             out.append(BasisSymbol(fam.name, twice))
     return out
 
 
 def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
-    n_unk2 = window.resolve_nunk2(spec, g2)
+    """Degree-matched (source, target) pairs for the sources the equations reach:
+    the n_eq symbols and their pairwise bracket outputs, in basis order."""
+    symbols = list(spec.basis_symbols(window.n_eq2))
+    sources = set(symbols)
+    for x, y in itertools.combinations(symbols, 2):
+        sources.update(bracket_symbols(spec, x, y))
+    order = {name: i for i, name in enumerate(spec.family_map)}
     unknowns: list[Unknown] = []
-    for src in spec.basis_symbols(n_unk2):
-        for tgt in _targets_for(spec, src, g2, n_unk2):
+    for src in sorted(sources, key=lambda s: (order[s.family], s.twice or 0)):
+        for tgt in _targets_for(spec, src, g2):
             unknowns.append((src, tgt))
     return unknowns
 
@@ -114,7 +117,6 @@ def assemble_system(
     row is q*scale times the residual's row and holds `int` entries.  Scaling
     a row keeps the row space, so the kernel and its RREF are unchanged.
     """
-    n_unk2 = window.resolve_nunk2(spec, g2)
     scale = math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
                        for c in term.coeff.coeffs.values()))
     p, q = delta.numerator, delta.denominator
@@ -133,11 +135,6 @@ def assemble_system(
             # residual coefficients, keyed (output symbol, column)
             acc: dict[tuple[BasisSymbol, int], int] = {}
             for mid, coeff in bracket_symbols(spec, x, y).items():
-                if mid.twice is not None and abs(mid.twice) > n_unk2:
-                    raise WindowError(
-                        f"bracket output {format_symbol(mid)} falls outside the "
-                        f"unknown window; increase nunk"
-                    )
                 # sources with no degree-matched targets have zero image
                 value = q * coeff.numerator * (scale // coeff.denominator)
                 axpy(acc, dict.fromkeys(image.get(mid, ()), value))
@@ -209,7 +206,7 @@ class DerivationReport:
             "delta": str(self.delta),
             "window": {
                 "neq": format_index2(self.window.n_eq2),
-                "nunk": format_index2(self.window.n_unk2) if self.window.n_unk2 is not None else None,
+                "nunk": None,  # no unknown window now; the solve goldens and perfbench digests pin the key
                 "ncore": format_index2(self.window.n_core2),
             },
             "degrees": [d.as_dict() for d in self.degrees],

@@ -179,17 +179,9 @@ class TestWindow:
         with pytest.raises(WindowError):
             Window(-1, 0)
 
-    def test_resolve_nunk(self):
-        spec = _witt()
-        w = Window(4, 2)
-        assert w.resolve_nunk2(spec, 0) == 8
-        assert w.resolve_nunk2(spec, 3) == 11
-        with pytest.raises(WindowError):
-            Window(4, 2, 5).resolve_nunk2(spec, 0)
-
     def test_displayed(self):
         w = Window.displayed(8, 3)
-        assert (w.n_eq2, w.n_core2, w.n_unk2) == (16, 6, None)
+        assert (w.n_eq2, w.n_core2) == (16, 6)
 
 
 class TestSpecValidation:

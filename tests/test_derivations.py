@@ -1,13 +1,14 @@
 """The delta-derivation solver: residuals, systems, interior projection."""
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from _oracle import oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
 from lieverify import catalog, derivations
-from lieverify.core import BasisSymbol, Element, Window
+from lieverify.core import BasisSymbol, Element, Window, bracket_symbols
 from lieverify.derivations import (
     assemble_system,
     build_unknowns,
@@ -90,6 +91,27 @@ class TestSystem:
             assert row
             for col in row:
                 assert 0 <= col < len(unknowns)
+
+
+@pytest.mark.parametrize("key", DERIV_CONFIGS)
+@pytest.mark.parametrize("g2", (0, 2))
+def test_unknowns_follow_the_equations(key, g2):
+    """Sources are the n_eq symbols plus their bracket outputs, in basis order,
+    and each carries every symbol of the matching degree (shifted families too)."""
+    spec = catalog.builtin(*DERIV_CONFIGS[key])
+    window = Window.displayed(3, 1)
+    symbols = list(spec.basis_symbols(window.n_eq2))
+    reached = set(symbols).union(*(bracket_symbols(spec, x, y) for x, y in combinations(symbols, 2)))
+    targets: dict[BasisSymbol, list[BasisSymbol]] = {}
+    for src, tgt in build_unknowns(spec, g2, window):
+        targets.setdefault(src, []).append(tgt)
+    assert set(targets) == reached
+    rank = {fam.name: i for i, fam in enumerate(spec.families)}
+    assert list(targets) == sorted(reached, key=lambda s: (rank[s.family], s.twice or 0))
+    # a window wide enough to hold every degree-matched symbol, found by degree alone
+    wide = list(spec.basis_symbols(max(abs(spec.degree2(s)) for s in reached) + abs(g2) + 4))
+    for src, tgts in targets.items():
+        assert tgts == [t for t in wide if spec.degree2(t) == spec.degree2(src) + g2], src
 
 
 def _normalized(rows):
