@@ -40,10 +40,18 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CASE = 3
+MAX_DEGREES = 1000  # degrees one solve-deriv call may ask for
 
 
 class UsageError(ValueError):
     pass
+
+
+def _shown(text: str) -> str:
+    """repr(text) for a message; past 40 characters, the first 40, '…' and the length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def _parse_fraction(text: str, what: str = "value") -> Fraction:
@@ -62,14 +70,14 @@ def _parse_fraction(text: str, what: str = "value") -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid {what} {text!r}: expected a rational like 3 or -1/2") from exc
+        raise UsageError(f"invalid {what} {_shown(text)}: expected a rational like 3 or -1/2") from exc
 
 
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from exc
+        raise UsageError(f"{what} must be an integer, got {_shown(text)}") from exc
 
 
 def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[tuple[str, str]]:
@@ -81,7 +89,7 @@ def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[t
                 continue
             key, found, value = chunk.partition(sep)
             if not found:
-                raise UsageError(f"malformed {what} {chunk!r}: expected {form}")
+                raise UsageError(f"malformed {what} {_shown(chunk)}: expected {form}")
             yield key.strip(), value.strip()
 
 
@@ -98,8 +106,8 @@ def _once(pairs: Iterable[tuple], twice: Callable[..., str]) -> Iterator[tuple]:
 def _parse_params(items: Sequence[str]) -> dict[str, Fraction]:
     pairs = _entries(items, "=", "parameter", "name=value")
     return {
-        name: _parse_fraction(value, f"parameter {name!r}")
-        for name, value in _once(pairs, lambda name: f"parameter {name!r} is given twice")
+        name: _parse_fraction(value, f"parameter {_shown(name)}")
+        for name, value in _once(pairs, lambda name: f"parameter {_shown(name)} is given twice")
     }
 
 
@@ -130,7 +138,7 @@ def _read_source(src: str, what: str) -> str:
 def _doubled(value: Fraction, what: str) -> int:
     twice = value * 2
     if twice.denominator != 1:
-        raise UsageError(f"{what} must be a half-integer, got {value}")
+        raise UsageError(f"{what} must be a half-integer, got {_shown(str(value))}")
     return int(twice)
 
 
@@ -140,13 +148,23 @@ def _parse_degrees(spec_text: str, step: str) -> list[int]:
         lo2 = _doubled(_parse_fraction(lo_s, "degree"), "degree")
         hi2 = _doubled(_parse_fraction(hi_s, "degree"), "degree")
         if hi2 < lo2:
-            raise UsageError(f"empty degree range {spec_text!r}")
+            raise UsageError(f"empty degree range {_shown(spec_text)}")
         step2 = 1 if step == "half" else 2
-        return list(range(lo2, hi2 + 1, step2))
-    degrees2 = [_doubled(_parse_fraction(c, "degree"), "degree") for c in spec_text.split(",") if c]
-    if not degrees2:
-        raise UsageError(f"empty degree list {spec_text!r}")
-    return degrees2
+        # counted here, as len() of a range of 10**900 degrees overflows
+        count = (hi2 - lo2) // step2 + 1
+        degrees2 = range(lo2, hi2 + 1, step2)
+    else:
+        degrees2 = [_doubled(_parse_fraction(c, "degree"), "degree")
+                    for c in spec_text.split(",") if c]
+        if not degrees2:
+            raise UsageError(f"empty degree list {_shown(spec_text)}")
+        count = len(degrees2)
+    if count > MAX_DEGREES:
+        shown = count if count < 10**12 else f"about 10^{len(str(count)) - 1}"
+        raise UsageError(
+            f"--degrees {_shown(spec_text)} asks for {shown} degrees; the maximum is {MAX_DEGREES}"
+        )
+    return list(degrees2)
 
 
 def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:

@@ -6,9 +6,9 @@ A linear map ``phi`` is a delta-derivation when for all x, y::
 
 (``delta = 1`` gives ordinary derivations, ``delta = 1/2`` the
 half-derivations this package is mostly used for.)  The solver works one
-graded degree at a time: unknowns are the matrix entries of ``phi``
-restricted to a finite index window, the derivation identity over a
-smaller window of basis pairs yields an exact linear system, and the
+graded degree at a time: the derivation identity on the basis pairs inside
+the equation window yields an exact linear system whose unknowns are the
+matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
 boundary artifacts.
 """
@@ -206,7 +206,7 @@ class DerivationReport:
             "delta": str(self.delta),
             "window": {
                 "neq": format_index2(self.window.n_eq2),
-                "nunk": None,  # no unknown window now; the solve goldens and perfbench digests pin the key
+                "nunk": None,  # kept: the solve goldens and perfbench's sha256 digests pin this key
                 "ncore": format_index2(self.window.n_core2),
             },
             "degrees": [d.as_dict() for d in self.degrees],

@@ -243,6 +243,24 @@ class TestSolveDeriv:
         ])
         assert code == 2
 
+    def test_window_error_names_displayed_bounds(self, capsys):
+        code, out, err = run(capsys, [
+            "solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "3", "--ncore", "2",
+        ])
+        assert (code, out) == (2, "")
+        assert err == "error: n_core 2 must not exceed n_eq/2 = 3/2\n"
+
+    def test_huge_degree_solves_fast(self, capsys):
+        # the unknowns follow the equations, so a degree's cost does not grow with it
+        start = time.perf_counter()
+        code, out, _ = run(capsys, [
+            "solve-deriv", "builtin:witt", "--degrees", "1e900", "--neq", "2", "--ncore", "1",
+        ])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        (degree,) = json.loads(out)["degrees"]
+        assert (degree["interior_dim"], degree["residual_checked"]) == (1, True)
+
 
 _SOLVE_WITT = ["solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "1"]
 _TPA_LT1 = ["check-tpa", "builtin:Ltilde1?lambda=1,mu=1/4", "--product", "builtin:theorem"]
@@ -260,6 +278,10 @@ _TPA_LT1 = ["check-tpa", "builtin:Ltilde1?lambda=1,mu=1/4", "--product", "builti
     (_SOLVE_WITT + ["--degrees", "0,1E5000"], "invalid degree: a rational of about 5001 digits"),
     (_SOLVE_WITT + ["--expect", "1e5000=1"], "invalid degree: a rational of about 5001 digits"),
     (_SOLVE_WITT + ["--degrees", ","], "empty degree list ','"),
+    (_SOLVE_WITT + ["--degrees", "0..1e900"],
+     "--degrees '0..1e900' asks for about 10^900 degrees; the maximum is 1000"),
+    (_SOLVE_WITT + ["--degrees", "-1e6..1e6"],
+     "--degrees '-1e6..1e6' asks for 4000001 degrees; the maximum is 1000"),
     (["validate", "builtin:Ltilde1?lambda=1e2000000,mu=1/4"],
      "invalid parameter 'lambda': a rational of about 2000001 digits"),
     (["validate", "builtin:Ltilde1", "--param", "lambda=1e20000", "--param", "mu=1/4"],
@@ -274,6 +296,19 @@ def test_huge_or_empty_values_exit_2_fast(capsys, argv, message):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SOLVE_WITT + ["--expect", "0=" + "9" * 5000], "--expect dim must be an integer, got '999"),
+    (_SOLVE_WITT + ["--delta", "x" * 5000], "invalid --delta 'xxx"),
+    (_TPA_LT1 + ["--alpha", "9" * 5000 + ":1"], "--alpha offset must be an integer, got '999"),
+    (["validate", "builtin:Ltilde1", "--param", "x" * 5000], "malformed parameter 'xxx"),
+])
+def test_oversized_argument_is_cut_in_the_message(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err and "… (5000 characters)" in err
+    assert len(err.encode()) < 300
 
 
 class TestCheckTpa:
