@@ -28,6 +28,7 @@ from .core import (
     DeltaCondition,
     Family,
     StructureError,
+    _shown,
 )
 from .poly import M, N, ONE, Poly
 
@@ -190,7 +191,7 @@ def needs_params(name: str) -> bool:
         return False
     if name in _DEFORMATIONS:
         return True
-    raise StructureError(f"unknown catalog algebra {name!r}")
+    raise StructureError(f"unknown catalog algebra {_shown(name)}")
 
 
 def builtin(name: str, params: Mapping[str, Fraction] | None = None) -> AlgebraSpec:
@@ -205,7 +206,7 @@ def builtin(name: str, params: Mapping[str, Fraction] | None = None) -> AlgebraS
     unknown = [k for k in params if k not in ("lambda", "mu")]
     if unknown:
         raise StructureError(
-            f"{name} takes only parameters lambda and mu, not {', '.join(map(repr, unknown))}"
+            f"{name} takes only parameters lambda and mu, not {', '.join(map(_shown, unknown))}"
         )
     if "lambda" not in params or "mu" not in params:
         raise StructureError(f"{name} requires parameters lambda and mu")

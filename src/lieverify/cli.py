@@ -28,6 +28,7 @@ from .core import (
     StructureError,
     Window,
     WindowError,
+    _shown,
     check_grading,
     check_jacobi,
     check_skew,
@@ -45,13 +46,6 @@ MAX_DEGREES = 1000  # degrees one solve-deriv call may ask for
 
 class UsageError(ValueError):
     pass
-
-
-def _shown(text: str) -> str:
-    """repr(text) for a message; past 40 characters, the first 40, '…' and the length."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}… ({len(text)} characters)"
 
 
 def _parse_fraction(text: str, what: str = "value") -> Fraction:
@@ -128,11 +122,11 @@ def _read_source(src: str, what: str) -> str:
     """The text of a .liealg file; a missing or non-UTF-8 file is a usage error."""
     path = Path(src)
     if not path.is_file():
-        raise UsageError(f"no such {what}: {src}")
+        raise UsageError(f"no such {what}: {_shown(src)}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{what} {src} is not UTF-8 text: byte {exc.start} is invalid") from None
+        raise UsageError(f"{what} {_shown(src)} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
 def _doubled(value: Fraction, what: str) -> int:
@@ -200,24 +194,26 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _reports_dict(spec: AlgebraSpec, reports: list[Report]) -> dict:
-    return {
-        "algebra": spec.name,
-        "params": {k: str(v) for k, v in sorted(spec.params.items())},
-        "checks": [r.as_dict() for r in reports],
-        "ok": all(r.passed for r in reports),
-    }
-
-
-def _reports_text(spec: AlgebraSpec, reports: list[Report]) -> str:
-    lines = [f"algebra: {spec.name}"]
-    for rep in reports:
-        status = "ok" if rep.passed else f"{len(rep.violations)} violation(s)"
-        lines.append(f"  {rep.check}: checked {rep.pairs_checked} tuples, {status}")
-        for v in rep.violations[:10]:
-            witness = ", ".join(format_symbol(s) for s in v.witness)
-            lines.append(f"    at ({witness}): residual {v.residual!r}")
-    return "\n".join(lines)
+def _write_reports(args, spec: AlgebraSpec, reports: list[Report]) -> int:
+    """Emit the check reports as JSON or text; exit 0 if all passed, else 1."""
+    ok = all(r.passed for r in reports)
+    if args.format == "json":
+        _emit(_dump_json({
+            "algebra": spec.name,
+            "params": {k: str(v) for k, v in sorted(spec.params.items())},
+            "checks": [r.as_dict() for r in reports],
+            "ok": ok,
+        }), args.out)
+    else:
+        lines = [f"algebra: {spec.name}"]
+        for rep in reports:
+            status = "ok" if rep.passed else f"{len(rep.violations)} violation(s)"
+            lines.append(f"  {rep.check}: checked {rep.pairs_checked} tuples, {status}")
+            for v in rep.violations[:10]:
+                witness = ", ".join(format_symbol(s) for s in v.witness)
+                lines.append(f"    at ({witness}): residual {v.residual!r}")
+        _emit("\n".join(lines), args.out)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_list(args) -> int:
@@ -244,11 +240,7 @@ def cmd_validate(args) -> int:
         check_grading(spec, window),
         check_jacobi(spec, window),
     ]
-    if args.format == "json":
-        _emit(_dump_json(_reports_dict(spec, reports)), args.out)
-    else:
-        _emit(_reports_text(spec, reports), args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+    return _write_reports(args, spec, reports)
 
 
 def cmd_solve_deriv(args) -> int:
@@ -296,12 +288,7 @@ def cmd_check_tpa(args) -> int:
             raise UsageError("--alpha/--beta are only valid with --product builtin:theorem")
         prod = tpa.parse_products(_read_source(args.product, "product file"), spec)
     window = Window(2 * args.neq, 0)
-    reports = tpa.check_tpa(prod, window.n_eq2)
-    if args.format == "json":
-        _emit(_dump_json(_reports_dict(spec, reports)), args.out)
-    else:
-        _emit(_reports_text(spec, reports), args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+    return _write_reports(args, spec, tpa.check_tpa(prod, window.n_eq2))
 
 
 def cmd_render(args) -> int:
@@ -407,7 +394,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if exc.filename is not None:  # a user's file name: cut like other user text
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(str(exc.filename))}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

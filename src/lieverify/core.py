@@ -62,6 +62,13 @@ class BasisSymbol(NamedTuple):
     twice: Optional[int]
 
 
+def _shown(text: str) -> str:
+    """repr(text) for a message; past 40 characters, the first 40, '…' and the length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def format_index2(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
@@ -328,13 +335,17 @@ class AlgebraSpec:
 
 
 def eval_rule(
-    spec: AlgebraSpec, rule: BracketRule, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
+    spec: AlgebraSpec, pairs: Mapping, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
 ) -> dict[BasisSymbol, Fraction]:
-    """Evaluate `rule` at the symbol pair (x, y) as a symbol->coefficient dict.
+    """Evaluate at (x, y) the rule for their families as a symbol->coefficient dict.
 
+    `pairs` is a rule index filled by `add_rule`; a pair with no rule gives {}.
     When x does not sit in the rule's left slot the index variables swap,
     and an antisymmetric (bracket) rule also flips its sign.
     """
+    rule = pairs.get(frozenset((x.family, y.family)))
+    if rule is None:
+        return {}
     if rule.left == x.family and (rule.right == y.family or rule.left == rule.right):
         sign, a, b = 1, x, y
     else:
@@ -362,8 +373,7 @@ def bracket_symbols(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol) -> dict[B
         return cached
     spec.family(x.family)  # raise StructureError on unknown families
     spec.family(y.family)
-    rule = spec.rule_for(x.family, y.family)
-    out = {} if rule is None else eval_rule(spec, rule, x, y, antisymmetric=True)
+    out = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
     spec._cache[key] = out
     return out
 

@@ -8,19 +8,29 @@ of it so it shares no sparse bookkeeping with the production path.
 beside the package's route through the 1/2-derivation residual, and
 `associativity_oracle` forms (x*y)*z - x*(y*z) from `product` elements,
 beside the package's dict residual.
+`check_left_mult` checks that left multiplication by one fixed z is a
+1/2-derivation, the identity the package checks for every z at once as the
+compatibility law.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
 """
+import functools
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from lieverify.core import Element, bracket
-from lieverify.derivations import _is_core, assemble_system, build_unknowns, derivation_residual
-from lieverify.tpa import product
+from lieverify.core import BasisSymbol, Element, Report, bilinear, bracket, window_check
+from lieverify.derivations import (
+    _is_core,
+    assemble_system,
+    build_unknowns,
+    derivation_residual,
+    residual_terms,
+)
+from lieverify.tpa import DELTA_HALF, ProductSpec, product, product_symbols
 
 F = Fraction
 
@@ -164,3 +174,17 @@ def compatibility_oracle(prod, x, y, z):
 def associativity_oracle(prod, x, y, z):
     """(x*y)*z - x*(y*z), formed as two separate elements."""
     return product(prod, product(prod, x, y), z) - product(prod, x, product(prod, y, z))
+
+
+def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:
+    """Check that left multiplication by z is a 1/2-derivation."""
+    if isinstance(z, BasisSymbol):
+        phi = functools.partial(product_symbols, prod, z)
+    else:
+        phi = functools.partial(bilinear, product_symbols, prod, z)
+    return window_check(
+        "left-multiplication",
+        combinations(prod.algebra.basis_symbols(bound2), 2),
+        lambda x, y: residual_terms(prod.algebra, phi, x, y, DELTA_HALF),
+        "left multiplication is not a 1/2-derivation",
+    )

@@ -20,12 +20,11 @@ from lieverify.linalg import sparse_nullspace
 from lieverify.poly import Poly
 from lieverify.tpa import (
     ProductSpec,
-    check_left_mult,
     check_tpa,
     theorem_product,
 )
 
-from _oracle import dense_nullspace, oracle_interior_dim
+from _oracle import check_left_mult, dense_nullspace, oracle_interior_dim
 
 F = Fraction
 SEED = 20260826

@@ -303,12 +303,26 @@ def test_huge_or_empty_values_exit_2_fast(capsys, argv, message):
     (_SOLVE_WITT + ["--delta", "x" * 5000], "invalid --delta 'xxx"),
     (_TPA_LT1 + ["--alpha", "9" * 5000 + ":1"], "--alpha offset must be an integer, got '999"),
     (["validate", "builtin:Ltilde1", "--param", "x" * 5000], "malformed parameter 'xxx"),
+    (["validate", "builtin:" + "x" * 5000], "unknown catalog algebra 'xxx"),
+    (["validate", "builtin:Ltilde1", "--param", "x" * 5000 + "=1"],
+     "Ltilde1 takes only parameters lambda and mu, not 'xxx"),
+    (["validate", "/nonexist/" + "x" * 4990], ": '/nonexist/xxx"),
+    (["list", "--out", "/nonexist/" + "y" * 4990], ": '/nonexist/yyy"),
 ])
 def test_oversized_argument_is_cut_in_the_message(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert message in err and "… (5000 characters)" in err
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "builtin:nope"], "unknown catalog algebra 'nope'"),
+    (["validate", "/nonexist/x.liealg"], "no such file: '/nonexist/x.liealg'"),
+    (["list", "--out", "/nonexist/y.json"], "[Errno 2] No such file or directory: '/nonexist/y.json'"),
+])
+def test_short_argument_is_quoted_whole(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 class TestCheckTpa:

@@ -137,11 +137,14 @@ class TestBracket:
         fams = (Family("A", "integer"), Family("B", "integer"))
         rule = BracketRule("A", "B", (BracketTerm(2 * M + N, "A"),))
         spec = AlgebraSpec("ab", fams, (rule,))
+        pairs = {frozenset(("A", "B")): rule}
         x, y = spec.symbol("A", 1), spec.symbol("B", 3)
         # left slot: m = 1, n = 3, so 2m + n = 5 at A(4)
-        assert eval_rule(spec, rule, x, y, antisymmetric) == {BasisSymbol("A", 8): 5}
+        assert eval_rule(spec, pairs, x, y, antisymmetric) == {BasisSymbol("A", 8): 5}
         # reversed pair: variables swap back, the sign flips only for brackets
-        assert eval_rule(spec, rule, y, x, antisymmetric) == {BasisSymbol("A", 8): 5 * sign}
+        assert eval_rule(spec, pairs, y, x, antisymmetric) == {BasisSymbol("A", 8): 5 * sign}
+        # a family pair with no rule in the index evaluates to zero
+        assert eval_rule(spec, pairs, x, spec.symbol("A", 2), antisymmetric) == {}
 
     def test_unknown_family_raises(self):
         spec = _witt()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracle import associativity_oracle, compatibility_oracle
+from _oracle import associativity_oracle, check_left_mult, compatibility_oracle
 from lieverify import catalog
 from lieverify.core import BasisSymbol, BracketRule, BracketTerm, Element, StructureError
 from lieverify.derivations import derivation_residual
@@ -14,7 +14,6 @@ from lieverify.poly import Poly
 from lieverify.tpa import (
     ProductSpec,
     associativity_terms,
-    check_left_mult,
     check_tpa,
     compatibility_terms,
     parse_products,
