@@ -189,9 +189,9 @@ def add_rule(
     """Validate one `what` rule against the families; index it by unordered pair."""
     for name in (rule.left, rule.right):
         if name not in families:
-            raise StructureError(f"{what} rule references unknown family {name!r}")
+            raise StructureError(f"{what} rule references unknown family {_shown(name)}")
         if families[name].lattice == CENTRAL:
-            raise StructureError(f"central family {name!r} cannot head a {what} rule")
+            raise StructureError(f"central family {_shown(name)} cannot head a {what} rule")
     key = frozenset((rule.left, rule.right))
     if key in pairs:
         raise StructureError(
@@ -199,7 +199,7 @@ def add_rule(
         )
     for term in rule.terms:
         if term.target not in families:
-            raise StructureError(f"{what} rule targets unknown family {term.target!r}")
+            raise StructureError(f"{what} rule targets unknown family {_shown(term.target)}")
     pairs[key] = rule
 
 
@@ -273,6 +273,8 @@ class AlgebraSpec:
     family_map: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # (x, y) -> integer-scaled [x, y], filled by derivations.assemble_system
+    _scaled: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for fam in self.families:
@@ -284,7 +286,7 @@ class AlgebraSpec:
         try:
             return self.family_map[name]
         except KeyError:
-            raise StructureError(f"unknown family {name!r} in algebra {self.name}") from None
+            raise StructureError(f"unknown family {_shown(name)} in algebra {self.name}") from None
 
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
         return self._pair.get(frozenset((left, right)))

@@ -30,6 +30,7 @@ from .core import (
     Element,
     Window,
     bracket_symbols,
+    eval_rule,
     format_index2,
     format_symbol,
     window_check,
@@ -104,6 +105,25 @@ def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
     return unknowns
 
 
+def _scaled_bracket(
+    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol
+) -> tuple[tuple[BasisSymbol, int], ...]:
+    """scale * [x, y] as (symbol, int) pairs, memoized on the spec.
+
+    `assemble_system` derives `scale` from the spec's rules alone, so the memo
+    holds across degrees and calls.  The rule is evaluated here rather than
+    through `bracket_symbols`, so the pair is not memoized twice.
+    """
+    key = (x, y)
+    terms = spec._scaled.get(key)
+    if terms is None:
+        terms = spec._scaled[key] = tuple(
+            (sym, c.numerator * (scale // c.denominator))
+            for sym, c in eval_rule(spec, spec._pair, x, y, antisymmetric=True).items()
+        )
+    return terms
+
+
 def assemble_system(
     spec: AlgebraSpec,
     g2: int,
@@ -116,6 +136,7 @@ def assemble_system(
     denominator (so scale * c is an integer for every bracket value c), each
     row is q*scale times the residual's row and holds `int` entries.  Scaling
     a row keeps the row space, so the kernel and its RREF are unchanged.
+    Rows come in no particular order: their RREF, and so the kernel, is unique.
     """
     scale = math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
                        for c in term.coeff.coeffs.values()))
@@ -132,23 +153,26 @@ def assemble_system(
         for y in symbols[ix + 1 :]:
             if x.twice is None and y.twice is None:
                 continue  # central-central rows vanish identically
-            # residual coefficients, keyed (output symbol, column)
-            acc: dict[tuple[BasisSymbol, int], int] = {}
-            for mid, coeff in bracket_symbols(spec, x, y).items():
+            # the residual's row at each output symbol: column -> coefficient
+            by_output: dict[BasisSymbol, linalg.SparseRow] = {}
+            for mid, value in _scaled_bracket(spec, scale, x, y):
                 # sources with no degree-matched targets have zero image
-                value = q * coeff.numerator * (scale // coeff.denominator)
-                axpy(acc, dict.fromkeys(image.get(mid, ()), value))
+                value *= q
+                for tgt, column in image.get(mid, ()):
+                    row = by_output.setdefault(tgt, {})
+                    row[column] = row.get(column, 0) + value
             for left, other, sign in ((x, y, 1), (y, x, -1)):
                 # [phi(left), other]; sign restores [other, phi(left)] order
                 factor = -p * sign
                 for tgt, column in image.get(left, ()):  # centrals may be absent
-                    scaled = {(sym, column): c.numerator * (scale // c.denominator)
-                              for sym, c in bracket_symbols(spec, tgt, other).items()}
-                    axpy(acc, scaled, factor)
-            by_output: dict[BasisSymbol, linalg.SparseRow] = {}
-            for (sym, column), value in acc.items():
-                by_output.setdefault(sym, {})[column] = value
-            rows.extend(by_output.values())
+                    for sym, value in _scaled_bracket(spec, scale, tgt, other):
+                        row = by_output.setdefault(sym, {})
+                        row[column] = row.get(column, 0) + factor * value
+            for row in by_output.values():
+                if 0 in row.values():  # terms that cancelled
+                    row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
     return unknowns, rows
 
 

@@ -39,6 +39,7 @@ from .core import (
     DeltaCondition,
     Family,
     StructureError,
+    _shown,
     add_family,
     add_rule,
 )
@@ -133,7 +134,7 @@ class _TokenStream:
         """The next token, which must have `kind` and, if `texts` is given, one of them."""
         tok = self.next()
         if tok.kind != kind or (texts and tok.text not in texts):
-            raise DslError(f"{message}, found {tok.text!r}", tok.line, tok.col)
+            raise DslError(f"{message}, found {_shown(tok.text)}", tok.line, tok.col)
         return tok
 
     def accept(self, texts: Container[str]) -> Optional[Token]:
@@ -202,12 +203,12 @@ class _PolyParser:
                 return self._maybe_power(Poly.const(self.params[tok.text]))
             if tok.text in self.families:
                 raise DslError(
-                    f"family name {tok.text!r} not allowed inside a coefficient",
+                    f"family name {_shown(tok.text)} not allowed inside a coefficient",
                     tok.line,
                     tok.col,
                 )
-            raise DslError(f"unknown parameter {tok.text!r}", tok.line, tok.col)
-        raise DslError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            raise DslError(f"unknown parameter {_shown(tok.text)}", tok.line, tok.col)
+        raise DslError(f"unexpected token {_shown(tok.text)}", tok.line, tok.col)
 
     def _maybe_power(self, poly: Poly) -> Poly:
         if self.s.accept("^") is None:
@@ -377,7 +378,7 @@ def _parse_body(
         if head.text not in allowed:
             if head.text in _ALGEBRA_STATEMENTS + _PRODUCT_STATEMENTS:
                 raise DslError(f"{head.text} statements are not allowed in {where}", line_no, head.col)
-            raise DslError(f"unknown statement {head.text!r}", line_no, head.col)
+            raise DslError(f"unknown statement {_shown(head.text)}", line_no, head.col)
 
         if head.text == "algebra":
             if name is not None:
@@ -401,7 +402,7 @@ def _parse_body(
             _validated(head, add_rule, pairs, families, rule, head.text)
         extra = stream.peek()
         if extra is not None:
-            raise DslError(f"trailing input {extra.text!r}", extra.line, extra.col)
+            raise DslError(f"trailing input {_shown(extra.text)}", extra.line, extra.col)
 
     return _ParsedBody(name, families, list(pairs.values()))
 

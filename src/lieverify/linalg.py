@@ -3,12 +3,19 @@
 Vectors are dicts key -> Fraction (or int) with no zero entries.  `axpy` is
 the one accumulation kernel every module uses; `rref` is incremental reduced
 row echelon form on sparse rows (dict column -> int or Fraction) with
-deterministic lowest-column pivoting, and `sparse_nullspace` reads a kernel
-basis off it.  Both always return Fraction entries.
+deterministic lowest-column pivoting.  `sparse_nullspace` returns the kernel
+basis `rref` determines, but computes it modulo the prime 2**61 - 1 and
+certifies it over the integers (in the style of Dixon, Numer. Math. 1982):
+each kernel entry is lifted to a rational by rational reconstruction, and
+every lifted vector, scaled to integers, must have dot product exactly 0
+with every input row.  When a lift or the certificate fails it reads the
+kernel off the exact `rref` instead, with one fixed prime and no retry.
+Both always return Fraction entries; nothing is approximate.
 
-Before any rational arithmetic `rref` peels the columns that singleton rows
-force to zero, by propagation over the row supports alone (the singleton
-step of structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
+Before any elimination, `rref` and the modular route peel the columns that
+singleton rows force to zero, by propagation over the row supports alone
+(the singleton step of structured Gaussian elimination, LaMacchia &
+Odlyzko, CRYPTO '90).
 A row with one nonzero entry at column c forces x_c = 0, so the unit row
 e_c lies in the row space; striking c from every other row may leave a new
 singleton.  Since rows have no zero entries, the row space is spanned by
@@ -18,8 +25,9 @@ output is exactly what elimination over every row would give.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping, Optional, TypeVar
 
 K = TypeVar("K")
 SparseRow = dict[int, Fraction]
@@ -127,21 +135,147 @@ def rank(rows: Iterable[SparseRow]) -> int:
     return len(rref(rows))
 
 
+PRIME = (1 << 61) - 1  # the Mersenne prime the kernel is computed modulo
+_BOUND = math.isqrt(PRIME // 2)  # 2 * _BOUND**2 < PRIME: reconstruction is unique
+
+
+def _as_ints(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """`row` times the lcm of its denominators, as int entries (same line over Q).
+
+    A row that holds no Fraction is returned as it is.
+    """
+    if Fraction not in map(type, row.values()):
+        return row
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
+def _axpy_mod(acc: dict[int, int], vec: Mapping[int, int], factor: int) -> None:
+    """acc += factor * vec mod PRIME in place, dropping entries that become 0."""
+    for key, val in vec.items():
+        val = (acc.get(key, 0) + factor * val) % PRIME
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+
+
+def _rref_mod_p(rows: list[SparseRow], dead: set[int]) -> dict[int, dict[int, int]]:
+    """`rref` of the rows mod PRIME, after the same peel: pivot column -> row.
+
+    Each live part is scaled to integers before it is reduced, so no
+    denominator needs an inverse mod PRIME.  Entries lie in [1, PRIME).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in rows:
+        if dead:
+            if dead.issuperset(raw):
+                continue
+            raw = {c: v for c, v in raw.items() if c not in dead}
+        row = {c: r for c, v in _as_ints(raw).items() if (r := v % PRIME)}
+        for col in sorted(c for c in row if c in pivots):
+            factor = row.get(col)
+            if factor:
+                _axpy_mod(row, pivots[col], -factor)
+        if not row:
+            continue
+        col = min(row)
+        inverse = pow(row[col], -1, PRIME)
+        row = {c: v * inverse % PRIME for c, v in row.items()}
+        for prow in pivots.values():
+            factor = prow.get(col)
+            if factor is not None:
+                _axpy_mod(prow, row, -factor)
+        pivots[col] = row
+    for col in dead:
+        pivots[col] = {col: 1}
+    return pivots
+
+
+def _lift(a: int) -> Optional[Fraction]:
+    """The rational r/s = a mod PRIME with |r|, s <= _BOUND, or None if there is none.
+
+    Rational reconstruction (Wang's half-extended Euclid); the bound makes
+    the answer unique when it exists.
+    """
+    if a <= _BOUND:
+        return Fraction(a)
+    if PRIME - a <= _BOUND:
+        return Fraction(a - PRIME)
+    r0, r1, s0, s1 = PRIME, a, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certified(vectors: list[SparseRow], rows: list[SparseRow]) -> bool:
+    """Whether every vector, scaled to integers, has dot product 0 with every row, in int."""
+    touching: dict[int, list[tuple[int, int]]] = {}
+    for k, vec in enumerate(vectors):
+        for c, v in _as_ints(vec).items():
+            touching.setdefault(c, []).append((k, v))
+    for row in rows:
+        if touching.keys().isdisjoint(row):
+            continue
+        dots: dict[int, int] = {}
+        for c, a in _as_ints(row).items():
+            for k, v in touching.get(c, ()):
+                dots[k] = dots.get(k, 0) + a * v
+        if any(dots.values()):
+            return False
+    return True
+
+
+def _kernel_basis(pivots: Mapping[int, Mapping[int, K]], ncols: int, one: K) -> list[dict[int, K]]:
+    """One vector per free column f < ncols: `one` at f, -prow[f] at each pivot column."""
+    basis = {f: {f: one} for f in range(ncols) if f not in pivots}
+    for pcol, prow in pivots.items():
+        for c, v in prow.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[pcol] = -v
+    return list(basis.values())
+
+
 def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of the kernel of the sparse matrix, one vector per free column.
 
-    Deterministic: pivoting always picks the lowest remaining column, so the
-    basis vectors come out in free-column order with unit free coordinate.
+    Deterministic: the basis is the one `rref` gives (lowest-column pivoting),
+    in free-column order with unit free coordinate, and columns are < ncols.
+
+    It is computed mod PRIME and certified over Z: `_rref_mod_p` reduces the
+    peeled rows mod PRIME, each read-off entry is lifted to a rational by
+    `_lift`, and every lifted vector, scaled to integers, must have dot
+    product exactly 0 with every input row.  If a lift or the certificate
+    fails, the kernel is read off the exact `rref` instead.  The certified
+    result is exactly that basis:
+
+    - the peeled, scaled rows span the input's row space over Q, and their
+      rank mod p <= their rank over Q, since a minor that is nonzero mod p is
+      nonzero over Z; so there are at least as many free columns mod p as
+      over Q;
+    - the certified vectors lie in ker over Q, and they are independent: v_f
+      is 1 at its free column f and 0 at every other free column mod p; so
+      the free columns mod p are at most dim ker over Q in number;
+    - v_f is supported on f and on pivot columns below f (a pivot row starts
+      at its pivot column), so column f is a combination of the columns
+      before it over Q, and f is free over Q too;
+    - so the two free-column sets are equal, and each v_f is the unique
+      kernel vector that is 1 at f and 0 at the other free columns: the
+      vector the exact route reads off.
     """
-    pivots = rref(rows)
-    basis: list[SparseRow] = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec: SparseRow = {free: Fraction(1)}
-        for pcol, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
+    rows = list(rows)
+    pivots = _rref_mod_p(rows, _forced_zero(rows))
+    vectors = []
+    for vec in _kernel_basis(pivots, ncols, 1):
+        lifted = {c: _lift(v % PRIME) for c, v in vec.items()}
+        if None in lifted.values():
+            break
+        vectors.append(lifted)
+    else:
+        if _certified(vectors, rows):
+            return vectors
+    return _kernel_basis(rref(rows), ncols, Fraction(1))

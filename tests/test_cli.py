@@ -316,6 +316,52 @@ def test_oversized_argument_is_cut_in_the_message(capsys, argv, message):
     assert len(err.encode()) < 300
 
 
+_X = "x" * 5000
+_HEAD = "algebra a\nfamily L integer degree-offset 0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEAD + _X + "\n", "line 3, col 1: unknown statement 'xxx"),
+    (_HEAD + f"bracket L(m) L(n) = {_X}*L(m+n)\n", "line 3, col 21: unknown parameter 'xxx"),
+    (_HEAD + f"family M {_X} degree-offset 0\n",
+     "line 3, col 10: family lattice must be 'integer' or 'half', found 'xxx"),
+    (_HEAD + f"family M integer degree-offset 0 {_X}\n", "line 3, col 34: trailing input 'xxx"),
+    (f"algebra a\nfamily {_X} integer degree-offset 0\nbracket {_X}(m) {_X}(n) = ({_X})*{_X}(m+n)\n",
+     "family name 'xxx"),
+    (_HEAD + "family " + "9" * 1000 + " integer degree-offset 0\n",
+     "line 3, col 8: expected a family name, found '999"),
+    (_HEAD + f"bracket L(m) {_X}(n) = L(m+n)\n",
+     "line 3, col 1: bracket rule references unknown family 'xxx"),
+], ids=["statement", "parameter", "expect", "trailing", "family-in-coefficient", "number",
+        "rule-family"])
+def test_oversized_token_is_cut_in_the_message(capsys, tmp_path, text, message):
+    path = tmp_path / "big.liealg"
+    path.write_text(text)
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert message in err and "characters)" in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEAD + "famly L\n", "line 3, col 1: unknown statement 'famly'"),
+    (_HEAD + "bracket L(m) L(n) = lam*L(m+n)\n", "line 3, col 21: unknown parameter 'lam'"),
+    (_HEAD + "family M whole degree-offset 0\n",
+     "line 3, col 10: family lattice must be 'integer' or 'half', found 'whole'"),
+    (_HEAD + "family M integer degree-offset 0 extra\n", "line 3, col 34: trailing input 'extra'"),
+    (_HEAD + "bracket L(m) L(n) = (L)*L(m+n)\n",
+     "line 3, col 22: family name 'L' not allowed inside a coefficient"),
+    (_HEAD + "bracket L(m) L(n) = )*L(m+n)\n", "line 3, col 21: unexpected token ')'"),
+    (_HEAD + "bracket L(m) Q(n) = L(m+n)\n",
+     "line 3, col 1: bracket rule references unknown family 'Q'"),
+], ids=["statement", "parameter", "expect", "trailing", "family-in-coefficient", "token",
+        "rule-family"])
+def test_short_token_is_quoted_whole(capsys, tmp_path, text, message):
+    path = tmp_path / "small.liealg"
+    path.write_text(text)
+    assert run(capsys, ["validate", str(path)]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["validate", "builtin:nope"], "unknown catalog algebra 'nope'"),
     (["validate", "/nonexist/x.liealg"], "no such file: '/nonexist/x.liealg'"),

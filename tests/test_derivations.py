@@ -2,12 +2,13 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
 from _oracle import oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
-from lieverify import catalog, derivations
+from lieverify import catalog, derivations, linalg
 from lieverify.core import BasisSymbol, Element, Window, bracket_symbols
 from lieverify.derivations import (
     assemble_system,
@@ -136,6 +137,31 @@ def test_rows_match_unit_map_residuals(key):
             oracle_unknowns, oracle = residual_rows(spec, g2, window, delta)
             assert unknowns == oracle_unknowns
             assert _normalized(rows) == _normalized(oracle), (key, g2, delta)
+
+
+def _exact_kernel(rows, ncols):
+    """The kernel read off the exact rational `rref`, one vector per free column."""
+    pivots = linalg.rref(rows)
+    return [
+        {free: F(1), **{p: -prow[free] for p, prow in pivots.items() if free in prow}}
+        for free in range(ncols)
+        if free not in pivots
+    ]
+
+
+@pytest.mark.parametrize("key", DERIV_CONFIGS)
+def test_modular_kernel_equals_exact_route(key):
+    """On every solver system the modular kernel certifies without the
+    fallback and equals the kernel of the exact rational route."""
+    spec = catalog.builtin(*DERIV_CONFIGS[key])
+    window = Window.displayed(3, 1)
+    for g2 in (-2, -1, 0, 2):
+        for delta in (F(1, 2), F(1)):
+            unknowns, rows = assemble_system(spec, g2, window, delta)
+            with mock.patch.object(linalg, "rref", wraps=linalg.rref) as exact:
+                kernel = linalg.sparse_nullspace(rows, len(unknowns))
+            exact.assert_not_called()
+            assert kernel == _exact_kernel(rows, len(unknowns)), (key, g2, delta)
 
 
 class TestSolve:

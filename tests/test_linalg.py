@@ -1,7 +1,9 @@
 """Exact linear algebra: sparse RREF nullspace vs the dense oracle."""
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lieverify import linalg
@@ -180,3 +182,56 @@ def test_integer_rows_match_fraction_rows(system):
     assert kernel == linalg.sparse_nullspace(as_fractions, ncols)
     values = [v for row in (*pivots.values(), *kernel) for v in row.values()]
     assert all(type(v) is Fraction for v in values)
+
+
+P = linalg.PRIME
+
+
+def _kernel_rows(vectors, ncols):
+    return [[vec.get(c, F(0)) for c in range(ncols)] for vec in vectors]
+
+
+def _spy_exact_route():
+    """Patch `linalg.rref`, which only the fallback of `sparse_nullspace` calls, with a spy."""
+    return mock.patch.object(linalg, "rref", wraps=linalg.rref)
+
+
+def test_lift_inverts_small_rationals_and_refuses_the_rest():
+    for value in (F(0), F(7), F(-7), F(1, 3), F(-7, 1000003), F(linalg._BOUND), F(-1, linalg._BOUND)):
+        residue = value.numerator * pow(value.denominator, -1, P) % P
+        assert linalg._lift(residue) == value
+    assert linalg._lift(3**30) is None
+    assert linalg._lift(2**40) == F(1, 2**21)  # a wrong rational: only the certificate catches it
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([{0: P, 1: 1}], 2),
+    ([{0: F(1, P), 1: 1}], 2),
+    ([{0: 1, 1: -(3**30)}], 2),
+    ([{0: 1, 1: -(2**40)}, {1: 1, 2: 1}], 3),
+    ([{0: 2, 1: 1, 2: 3}, {1: 2**31 + 1, 2: -(2**31 - 1)}], 3),
+], ids=["rank-drops-mod-p", "denominator-p", "lift-fails", "lift-wrong", "entry-past-bound"])
+def test_fallback_runs_when_the_modular_kernel_fails(rows, ncols):
+    """p in a row, a denominator p, or a kernel entry past the reconstruction
+    bound: the modular kernel is wrong or cannot be lifted, the certificate or
+    the lift refuses it, and the exact route gives the oracle's kernel."""
+    with _spy_exact_route() as exact:
+        kernel = linalg.sparse_nullspace(rows, ncols)
+    exact.assert_called_once()
+    assert _kernel_rows(kernel, ncols) == dense_nullspace(_dense_rows(rows, ncols), ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(0, 3), _NONZERO, min_size=1, max_size=4), max_size=6),
+)
+@example([{0: F(1, 3), 1: F(2, 3), 2: 5}, {1: F(-5, 2), 3: F(4, 3)}])
+def test_fraction_rows_take_the_modular_route(rows):
+    """Rows scaled to integers have entries of at most 30 on 4 columns, so
+    every minor is below 60**4: nonzero mod PRIME, and kernel entries lift.
+    The modular route must certify on its own and match the oracle."""
+    with _spy_exact_route() as exact:
+        kernel = linalg.sparse_nullspace(rows, 4)
+    exact.assert_not_called()
+    assert _kernel_rows(kernel, 4) == dense_nullspace(_dense_rows(rows, 4), 4)
+    assert all(type(v) is Fraction for vec in kernel for v in vec.values())
