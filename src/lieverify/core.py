@@ -69,6 +69,11 @@ def _shown(text: str) -> str:
     return f"{text[:40]!r}… ({len(text)} characters)"
 
 
+def _bare(name: str) -> str:
+    """name itself for a message; past 40 characters, cut by `_shown`."""
+    return name if len(name) <= 40 else _shown(name)
+
+
 def format_index2(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
@@ -174,7 +179,7 @@ class BracketRule:
 def add_family(families: dict[str, Family], fam: Family) -> None:
     """Add `fam` to the name -> Family map, rejecting repeated and reserved names."""
     if fam.name in families:
-        raise StructureError(f"duplicate family {fam.name}")
+        raise StructureError(f"duplicate family {_bare(fam.name)}")
     if fam.name in ("m", "n", "delta"):
         raise StructureError("family names m, n and delta are reserved")
     families[fam.name] = fam
@@ -195,7 +200,8 @@ def add_rule(
     key = frozenset((rule.left, rule.right))
     if key in pairs:
         raise StructureError(
-            f"duplicate rule for family pair ({rule.left}, {rule.right}) in the {what} rules"
+            f"duplicate rule for family pair ({_bare(rule.left)}, {_bare(rule.right)}) "
+            f"in the {what} rules"
         )
     for term in rule.terms:
         if term.target not in families:

@@ -10,10 +10,12 @@ graded degree at a time: the derivation identity on the basis pairs inside
 the equation window yields an exact linear system whose unknowns are the
 matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
-boundary artifacts.
+boundary artifacts.  ``residual_terms`` re-checks every reported generator on
+every window pair, in integers, on the assembly's scaled bracket memo.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
-from .linalg import axpy
 from .dsl import _shift_str
 from .core import (
     CENTRAL,
@@ -40,25 +41,29 @@ Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
 
 
 def residual_terms(
-    spec: AlgebraSpec,
-    phi: Callable[[BasisSymbol], Mapping[BasisSymbol, Fraction]],
-    x: BasisSymbol,
-    y: BasisSymbol,
-    delta: Fraction = Fraction(1, 2),
-) -> dict[BasisSymbol, Fraction]:
-    """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as a symbol->coefficient dict.
+    table: Callable, phi: Callable, x: BasisSymbol, y: BasisSymbol, p: int, q: int
+) -> dict[BasisSymbol, Fraction | int]:
+    """q*phi([x,y]) - p*([phi(x),y] + [x,phi(y)]): q times the residual at delta = p/q.
 
-    phi maps a basis symbol to its image as a symbol->coefficient mapping
-    (an Element works too), so callers that only test for zero build no Element.
+    `table(a, b)` yields the (symbol, coefficient) terms of [a, b], or of a
+    fixed multiple of it; phi maps a symbol to its image as a mapping (an
+    Element works too).  Integer tables and images keep it all in `int`.
     """
-    acc: dict[BasisSymbol, Fraction] = {}
-    for sym, coeff in bracket_symbols(spec, x, y).items():
-        axpy(acc, phi(sym), coeff)
+    acc: dict[BasisSymbol, Fraction | int] = {}
+    get = acc.get
+    for sym, coeff in table(x, y):
+        coeff *= q
+        for out, value in phi(sym).items():
+            acc[out] = get(out, 0) + coeff * value
     for sym, coeff in phi(x).items():
-        axpy(acc, bracket_symbols(spec, sym, y), -delta * coeff)
+        coeff *= p
+        for out, value in table(sym, y):
+            acc[out] = get(out, 0) - coeff * value
     for sym, coeff in phi(y).items():
-        axpy(acc, bracket_symbols(spec, x, sym), -delta * coeff)
-    return acc
+        coeff *= p
+        for out, value in table(x, sym):
+            acc[out] = get(out, 0) - coeff * value
+    return {out: value for out, value in acc.items() if value}
 
 
 def derivation_residual(
@@ -72,7 +77,14 @@ def derivation_residual(
     if not callable(phi):
         table = phi
         phi = lambda s: table.get(s, {})
-    return Element(residual_terms(spec, phi, x, y, delta))
+    q = delta.denominator
+    terms = residual_terms(_bracket_table(spec), phi, x, y, delta.numerator, q)
+    return Element({sym: Fraction(c, q) for sym, c in terms.items()})
+
+
+def _bracket_table(spec: AlgebraSpec):
+    """The exact `Fraction` bracket of `spec` as a `residual_terms` table."""
+    return lambda a, b: bracket_symbols(spec, a, b).items()
 
 
 def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisSymbol]:
@@ -105,21 +117,30 @@ def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
     return unknowns
 
 
+def _scale(spec: AlgebraSpec) -> int:
+    """The lcm of the rule coefficients' denominators: scale * [x, y] is integral."""
+    return math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
+                      for c in term.coeff.coeffs.values()))
+
+
 def _scaled_bracket(
     spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol
 ) -> tuple[tuple[BasisSymbol, int], ...]:
     """scale * [x, y] as (symbol, int) pairs, memoized on the spec.
 
-    `assemble_system` derives `scale` from the spec's rules alone, so the memo
-    holds across degrees and calls.  The rule is evaluated here rather than
-    through `bracket_symbols`, so the pair is not memoized twice.
+    `scale` is `_scale(spec)`, so the memo holds across degrees and calls.
+    A pair that `bracket_symbols` has already evaluated is scaled from its
+    memo; any other is evaluated here and not added to that memo, so no
+    pair is held twice in `Fraction` form.
     """
     key = (x, y)
     terms = spec._scaled.get(key)
     if terms is None:
+        exact = spec._cache.get(key)
+        if exact is None:
+            exact = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
         terms = spec._scaled[key] = tuple(
-            (sym, c.numerator * (scale // c.denominator))
-            for sym, c in eval_rule(spec, spec._pair, x, y, antisymmetric=True).items()
+            (sym, c.numerator * (scale // c.denominator)) for sym, c in exact.items()
         )
     return terms
 
@@ -132,14 +153,12 @@ def assemble_system(
 ) -> tuple[list[Unknown], list[linalg.SparseRow]]:
     """Unknown list plus sparse residual rows over those unknowns.
 
-    With delta = p/q and `scale` the lcm of every rule coefficient's
-    denominator (so scale * c is an integer for every bracket value c), each
-    row is q*scale times the residual's row and holds `int` entries.  Scaling
-    a row keeps the row space, so the kernel and its RREF are unchanged.
+    With delta = p/q and scale = `_scale(spec)`, each row is q*scale times
+    the residual's row and holds `int` entries.  Scaling a row keeps the row
+    space, so the kernel and its RREF are unchanged.
     Rows come in no particular order: their RREF, and so the kernel, is unique.
     """
-    scale = math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
-                       for c in term.coeff.coeffs.values()))
+    scale = _scale(spec)
     p, q = delta.numerator, delta.denominator
     unknowns = build_unknowns(spec, g2, window)
     # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
@@ -322,16 +341,20 @@ def solve_degree(
     generators = []
     checked = True
     symbols = list(spec.basis_symbols(window.n_eq2))
+    # the residual of lcm * phi on scale * [,], cleared by q: all in int
+    table = functools.partial(_scaled_bracket, spec, _scale(spec))
+    p, q = delta.numerator, delta.denominator
     for full in basis:
-        images: dict[BasisSymbol, dict[BasisSymbol, Fraction]] = {}
+        lcm = math.lcm(*(v.denominator for v in full.values()))
+        images: dict[BasisSymbol, dict[BasisSymbol, int]] = {}
         for c, v in full.items():
             src, tgt = unknowns[c]
-            images.setdefault(src, {})[tgt] = v
+            images.setdefault(src, {})[tgt] = v.numerator * (lcm // v.denominator)
         phi = lambda s: images.get(s, {})
         checked &= window_check(
             "derivation",
             itertools.combinations(symbols, 2),
-            lambda x, y: residual_terms(spec, phi, x, y, delta),
+            lambda x, y: residual_terms(table, phi, x, y, p, q),
             "generator is not a delta-derivation",
         ).passed
         interior = {

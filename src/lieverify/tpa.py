@@ -4,9 +4,9 @@ Lie bracket through the compatibility law
     2*z*[x, y] = [z*x, y] + [x, z*y].
 
 The law says exactly that left multiplication phi = z*(-) is a
-1/2-derivation of the bracket: its residual is twice the 1/2-derivation
-residual phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]), so
-``compatibility_terms`` is computed by ``residual_terms``.
+1/2-derivation of the bracket: its residual is the 1/2-derivation residual
+phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]) cleared of the denominator 2,
+so ``compatibility_terms`` is ``residual_terms`` at p/q = 1/2.
 
 The residual kernels ``associativity_terms`` and ``compatibility_terms``
 return symbol->coefficient dicts built through ``core.bilinear`` from the
@@ -42,11 +42,9 @@ from .core import (
     eval_rule,
     window_check,
 )
-from .derivations import residual_terms
+from .derivations import _bracket_table, residual_terms
 from .linalg import axpy
 from .poly import Poly
-
-DELTA_HALF = Fraction(1, 2)  # the delta of a 1/2-derivation
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,9 @@ def check_associative(prod: ProductSpec, bound2: int) -> Report:
 def compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
-    """2*z*[x,y] - [z*x, y] - [x, z*y]: twice the 1/2-derivation residual of z*(-)."""
-    terms = residual_terms(prod.algebra, functools.partial(product_symbols, prod, z), x, y, DELTA_HALF)
-    return {sym: 2 * c for sym, c in terms.items()}
+    """2*z*[x,y] - [z*x, y] - [x, z*y]: the 1/2-derivation residual of z*(-), cleared by q = 2."""
+    phi = functools.partial(product_symbols, prod, z)
+    return residual_terms(_bracket_table(prod.algebra), phi, x, y, 1, 2)
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:

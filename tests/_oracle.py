@@ -10,7 +10,8 @@ beside the package's route through the 1/2-derivation residual, and
 beside the package's dict residual.
 `check_left_mult` checks that left multiplication by one fixed z is a
 1/2-derivation, the identity the package checks for every z at once as the
-compatibility law.
+compatibility law; it runs on the `Fraction` route of `derivation_residual`,
+not on the solver's integer re-check.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
@@ -28,9 +29,8 @@ from lieverify.derivations import (
     assemble_system,
     build_unknowns,
     derivation_residual,
-    residual_terms,
 )
-from lieverify.tpa import DELTA_HALF, ProductSpec, product, product_symbols
+from lieverify.tpa import ProductSpec, product, product_symbols
 
 F = Fraction
 
@@ -185,6 +185,6 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
     return window_check(
         "left-multiplication",
         combinations(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: residual_terms(prod.algebra, phi, x, y, DELTA_HALF),
+        lambda x, y: derivation_residual(prod.algebra, phi, x, y, F(1, 2)),
         "left multiplication is not a 1/2-derivation",
     )

@@ -332,8 +332,11 @@ _HEAD = "algebra a\nfamily L integer degree-offset 0\n"
      "line 3, col 8: expected a family name, found '999"),
     (_HEAD + f"bracket L(m) {_X}(n) = L(m+n)\n",
      "line 3, col 1: bracket rule references unknown family 'xxx"),
+    (_HEAD + f"family {_X} integer degree-offset 0\n" * 2, "line 4, col 8: duplicate family 'xxx"),
+    (_HEAD + f"family {_X} integer degree-offset 0\n" + f"bracket {_X}(m) {_X}(n) = 0\n" * 2,
+     "line 5, col 1: duplicate rule for family pair ('xxx"),
 ], ids=["statement", "parameter", "expect", "trailing", "family-in-coefficient", "number",
-        "rule-family"])
+        "rule-family", "duplicate-family", "duplicate-rule"])
 def test_oversized_token_is_cut_in_the_message(capsys, tmp_path, text, message):
     path = tmp_path / "big.liealg"
     path.write_text(text)
@@ -354,8 +357,9 @@ def test_oversized_token_is_cut_in_the_message(capsys, tmp_path, text, message):
     (_HEAD + "bracket L(m) L(n) = )*L(m+n)\n", "line 3, col 21: unexpected token ')'"),
     (_HEAD + "bracket L(m) Q(n) = L(m+n)\n",
      "line 3, col 1: bracket rule references unknown family 'Q'"),
+    (_HEAD + "family L integer degree-offset 0\n", "line 3, col 8: duplicate family L"),
 ], ids=["statement", "parameter", "expect", "trailing", "family-in-coefficient", "token",
-        "rule-family"])
+        "rule-family", "duplicate-family"])
 def test_short_token_is_quoted_whole(capsys, tmp_path, text, message):
     path = tmp_path / "small.liealg"
     path.write_text(text)

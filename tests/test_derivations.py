@@ -1,19 +1,23 @@
 """The delta-derivation solver: residuals, systems, interior projection."""
+import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
 
 from _oracle import oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
-from lieverify import catalog, derivations, linalg
+from lieverify import catalog, core, derivations, linalg
 from lieverify.core import BasisSymbol, Element, Window, bracket_symbols
 from lieverify.derivations import (
+    _scale,
+    _scaled_bracket,
     assemble_system,
     build_unknowns,
     derivation_residual,
+    residual_terms,
     solve_degree,
     solve_derivations,
 )
@@ -162,6 +166,100 @@ def test_modular_kernel_equals_exact_route(key):
                 kernel = linalg.sparse_nullspace(rows, len(unknowns))
             exact.assert_not_called()
             assert kernel == _exact_kernel(rows, len(unknowns)), (key, g2, delta)
+
+
+@pytest.mark.parametrize("name, params", catalog.REPRESENTATIVES)
+def test_scaled_bracket_is_exact(name, params):
+    """scale * [x, y] in int on every ordered window pair, whether the pair is
+    evaluated by `_scaled_bracket` itself or read from the `bracket_symbols` memo."""
+    fresh, memo = catalog.builtin(name, params), catalog.builtin(name, params)
+    scale = _scale(fresh)
+    pairs = list(product(fresh.basis_symbols(6), repeat=2))
+    for x, y in pairs:
+        bracket_symbols(memo, x, y)
+    for x, y in pairs:
+        want = {sym: scale * c for sym, c in bracket_symbols(fresh, x, y).items()}
+        for spec in (fresh, memo):
+            terms = _scaled_bracket(spec, scale, x, y)
+            assert all(type(v) is int for _, v in terms)
+            assert dict(terms) == want, (name, x, y)
+
+
+def test_some_representative_needs_a_scale():
+    assert any(_scale(catalog.builtin(*rep)) > 1 for rep in catalog.REPRESENTATIVES)
+
+
+def test_eval_rule_runs_once_per_distinct_pair():
+    """One solve evaluates each ordered pair once, between the Fraction and int memos."""
+    spec = catalog.builtin("Ltilde1", {"lambda": F(1), "mu": F(1, 4)})
+    pairs = []
+
+    def spy(spec, rules, x, y, antisymmetric):
+        pairs.append((x, y))
+        return evaluate(spec, rules, x, y, antisymmetric)
+
+    evaluate = core.eval_rule
+    with mock.patch.object(core, "eval_rule", spy), mock.patch.object(derivations, "eval_rule", spy):
+        solve_derivations(spec, [-2, -1, 0, 1, 2], Window.displayed(4, 1))
+    assert pairs and len(pairs) == len(set(pairs))
+    assert set(pairs) == set(spec._scaled) | set(spec._cache)
+
+
+def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
+    """Run solve_degree with spies on its kernel vectors (spoiled by `spoil`, if
+    given) and on its re-check.  Each int residual must be lcm * scale * q times
+    derivation_residual's, where lcm clears the generator's denominators."""
+    basis, residuals = [], []
+    project = derivations._interior_basis
+
+    def projected(vectors, core_cols):
+        basis.extend(project(vectors, core_cols))
+        if spoil:
+            spoil(basis)
+        return basis
+
+    def kernel(table, phi, x, y, p, q):
+        assert all(type(v) is int for s in (x, y) for v in phi(s).values())
+        residuals.append(residual_terms(table, phi, x, y, p, q))
+        return residuals[-1]
+
+    monkeypatch.setattr(derivations, "_interior_basis", projected)
+    monkeypatch.setattr(derivations, "residual_terms", kernel)
+    result = solve_degree(spec, g2, window, delta)
+    monkeypatch.undo()
+
+    unknowns = build_unknowns(spec, g2, window)
+    pairs = list(combinations(spec.basis_symbols(window.n_eq2), 2))
+    assert len(residuals) == len(basis) * len(pairs)
+    checked = True
+    for i, full in enumerate(basis):
+        images = {}
+        for c, v in full.items():
+            images.setdefault(unknowns[c][0], {})[unknowns[c][1]] = v
+        factor = math.lcm(*(v.denominator for v in full.values())) * _scale(spec) * delta.denominator
+        for (x, y), got in zip(pairs, residuals[i * len(pairs):]):
+            assert all(type(v) is int for v in got.values())
+            want = derivation_residual(spec, lambda s: images.get(s, {}), x, y, delta)
+            assert got == {sym: factor * c for sym, c in want.items()}, (g2, delta, x, y)
+            checked &= not want
+    assert result.residual_checked == checked
+    return result
+
+
+@pytest.mark.parametrize("key", DERIV_CONFIGS)
+def test_integer_recheck_agrees_with_fraction_route(key, monkeypatch):
+    spec = catalog.builtin(*DERIV_CONFIGS[key])
+    for g2 in (-1, 0, 2):
+        for delta in (F(1, 2), F(1)):
+            _assert_agrees(spec, g2, Window.displayed(3, 1), delta, monkeypatch)
+
+
+def test_recheck_flags_a_spoil_with_a_denominator(so_hat, monkeypatch):
+    def spoil(basis):
+        basis[0][min(basis[0])] += F(1, 3)
+
+    result = _assert_agrees(so_hat, 0, Window.displayed(4, 1), F(1, 2), monkeypatch, spoil)
+    assert result.interior_dim == 1 and not result.residual_checked
 
 
 class TestSolve:
