@@ -42,6 +42,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CASE = 3
 MAX_DEGREES = 1000  # degrees one solve-deriv call may ask for
+MAX_NEQ = 32  # widest index window: validate checks O(neq^3) triples
 
 
 class UsageError(ValueError):
@@ -72,6 +73,14 @@ def _parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError as exc:
         raise UsageError(f"{what} must be an integer, got {_shown(text)}") from exc
+
+
+def _int_option(text: str) -> int:
+    """argparse type of --neq and --ncore; its error quotes at most 40 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(text)}") from None
 
 
 def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[tuple[str, str]]:
@@ -324,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check skew-symmetry, grading, and Jacobi")
     add_common(p)
-    p.add_argument("--neq", type=int, default=5, metavar="N", help="index window |i| <= N")
+    p.add_argument("--neq", type=_int_option, default=5, metavar="N", help="index window |i| <= N")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve-deriv", help="solve for homogeneous delta-derivations")
     add_common(p)
     p.add_argument("--degrees", required=True, metavar="A..B", help="degree range, e.g. -2..2")
     p.add_argument("--step", choices=("half", "integer"), default="half")
-    p.add_argument("--neq", type=int, required=True, metavar="N", help="equation window")
-    p.add_argument("--ncore", type=int, required=True, metavar="K", help="interior window")
+    p.add_argument("--neq", type=_int_option, required=True, metavar="N", help="equation window")
+    p.add_argument("--ncore", type=_int_option, required=True, metavar="K", help="interior window")
     p.add_argument("--delta", default="1/2", metavar="Q", help="derivation scalar (default 1/2)")
     p.add_argument("--expect", metavar="D=K,...", help="expected dims, e.g. 0=2,1/2=1")
     p.set_defaults(func=cmd_solve_deriv)
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", action="append", default=[], metavar="T:V")
     p.add_argument("--beta", action="append", default=[], metavar="T:V")
-    p.add_argument("--neq", type=int, default=4, metavar="N")
+    p.add_argument("--neq", type=_int_option, default=4, metavar="N")
     p.set_defaults(func=cmd_check_tpa)
 
     p = sub.add_parser("render", help="print the canonical .liealg text")
@@ -386,6 +395,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "neq", 0) > MAX_NEQ:  # before the algebra is even loaded
+            raise UsageError(f"--neq {_shown(str(args.neq))} exceeds the maximum {MAX_NEQ}")
         return args.func(args)
     except catalog.CaseViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

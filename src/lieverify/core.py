@@ -9,11 +9,15 @@ antisymmetry.
 
 ``bilinear`` and residual kernels such as ``jacobi_terms`` return plain dicts;
 ``bracket`` wraps one in an ``Element``; ``window_check`` builds one per violation.
+``_scaled_bracket`` memoizes s*[x, y] in ``int``, with s = ``_scale(spec)``; the
+axiom checks (skew, grading, Jacobi) and the derivation solver all run on it,
+and build ``Fraction`` values only for a nonzero residual.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -279,7 +283,7 @@ class AlgebraSpec:
     family_map: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # (x, y) -> integer-scaled [x, y], filled by derivations.assemble_system
+    # (x, y) -> integer-scaled [x, y], filled by _scaled_bracket
     _scaled: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -386,6 +390,40 @@ def bracket_symbols(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol) -> dict[B
     return out
 
 
+def _scale(spec: AlgebraSpec) -> int:
+    """The lcm of the rule coefficients' denominators: scale * [x, y] is integral."""
+    return math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
+                      for c in term.coeff.coeffs.values()))
+
+
+def _scaled_bracket(
+    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol
+) -> tuple[tuple[BasisSymbol, int], ...]:
+    """scale * [x, y] as (symbol, int) pairs, memoized on the spec.
+
+    `scale` is `_scale(spec)`, so the memo holds across checks, degrees and
+    calls.  A pair that `bracket_symbols` has already evaluated is scaled
+    from its memo; any other is evaluated here and not added to that memo,
+    so no pair is held twice in `Fraction` form.  Symbols are not checked
+    against the families: callers pass window symbols and rule outputs.
+    """
+    key = (x, y)
+    terms = spec._scaled.get(key)
+    if terms is None:
+        exact = spec._cache.get(key)
+        if exact is None:
+            exact = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
+        terms = spec._scaled[key] = tuple(
+            (sym, c.numerator * (scale // c.denominator)) for sym, c in exact.items()
+        )
+    return terms
+
+
+def _over(terms: Mapping[BasisSymbol, int], divisor: int) -> dict[BasisSymbol, Fraction]:
+    """terms / divisor with `Fraction` values; {} stays {} and builds none."""
+    return {sym: Fraction(value, divisor) for sym, value in terms.items()}
+
+
 def bilinear(table: Callable, owner, x, y) -> dict[BasisSymbol, Fraction]:
     """Bilinear extension of the basis-pair table `table(owner, sx, sy)`, as a fresh dict.
 
@@ -410,39 +448,73 @@ def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbo
 def window_check(
     check: str,
     tuples: Iterable[tuple[BasisSymbol, ...]],
-    residual: Callable[..., Mapping[BasisSymbol, Fraction]],
+    residual: Callable[..., Mapping[BasisSymbol, Fraction | int]],
     message: str,
+    divisor: int = 1,
 ) -> Report:
-    """Count `tuples` and record a violation for each nonzero residual(*t)."""
+    """Count `tuples` and record a violation for each nonzero residual(*t).
+
+    A residual that is `divisor` times the true one (an `int` kernel on the
+    scaled bracket) is divided back only when it is nonzero.
+    """
     violations = []
     count = 0
     for t in tuples:
         count += 1
         r = residual(*t)
         if r:
-            violations.append(Violation(t, Element(r), message))
+            violations.append(Violation(t, Element(_over(r, divisor)), message))
     return Report(check, tuple(violations), count)
 
 
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
-    """Verify [x,y] + [y,x] = 0 for all basis pairs within the window."""
+    """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
+
+    Runs on s*([x,y] + [y,x]) in `int`, s = `_scale(spec)`.
+    """
+    scale = _scale(spec)
+
+    def residual(x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, int]:
+        acc = dict(_scaled_bracket(spec, scale, x, y))
+        for sym, value in _scaled_bracket(spec, scale, y, x):
+            acc[sym] = acc.get(sym, 0) + value
+        return {sym: value for sym, value in acc.items() if value}
+
     return window_check(
         "skew",
         itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        lambda x, y: axpy(dict(bracket_symbols(spec, x, y)), bracket_symbols(spec, y, x)),
+        residual,
         "skew-symmetry broken",
+        scale,
     )
+
+
+def _jacobi_scaled(
+    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, int]:
+    """scale**2 * J(x,y,z) in `int`: the cyclic sum on the `_scaled_bracket` memo.
+
+    All three terms are formed as written, so no antisymmetry is assumed:
+    on a skew-broken bracket this is still J, not a multiple of it.
+    """
+    acc: dict[BasisSymbol, int] = {}
+    get = acc.get
+    memo = spec._scaled  # read directly on a hit: `_scaled_bracket` fills it
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for sym, coeff in memo.get((a, b)) or _scaled_bracket(spec, scale, a, b):
+            for out, value in memo.get((sym, c)) or _scaled_bracket(spec, scale, sym, c):
+                acc[out] = get(out, 0) + coeff * value
+    return {out: value for out, value in acc.items() if value}
 
 
 def jacobi_terms(
     spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] as a symbol->coefficient dict."""
-    acc: dict[BasisSymbol, Fraction] = {}
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for sym, coeff in bracket_symbols(spec, a, b).items():
-            axpy(acc, bracket_symbols(spec, sym, c), coeff)
-    return acc
+    for sym in (x, y, z):
+        spec.family(sym.family)  # raise StructureError on unknown families
+    scale = _scale(spec)
+    return _over(_jacobi_scaled(spec, scale, x, y, z), scale * scale)
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
@@ -451,11 +523,13 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     Given bilinearity and antisymmetry, residuals with a repeated symbol
     vanish identically, so distinct triples suffice.
     """
+    scale = _scale(spec)
     return window_check(
         "jacobi",
         itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        functools.partial(jacobi_terms, spec),
+        functools.partial(_jacobi_scaled, spec, scale),
         "Jacobi identity broken",
+        scale * scale,
     )
 
 
@@ -465,6 +539,7 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
     Central targets carry degree 0, so they require the source degrees to
     sum to zero.
     """
+    scale = _scale(spec)
     symbols = list(spec.basis_symbols(window.n_eq2, include_central=False))
     violations = []
     count = 0
@@ -472,12 +547,12 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
         for y in symbols[i:]:
             count += 1
             want = spec.degree2(x) + spec.degree2(y)
-            for sym, coeff in bracket_symbols(spec, x, y).items():
+            for sym, value in _scaled_bracket(spec, scale, x, y):
                 if spec.degree2(sym) != want:
                     violations.append(
                         Violation(
                             (x, y),
-                            Element({sym: coeff}),
+                            Element({sym: Fraction(value, scale)}),
                             f"term degree {format_index2(spec.degree2(sym))} != "
                             f"source degree sum {format_index2(want)}",
                         )

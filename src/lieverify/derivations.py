@@ -11,7 +11,9 @@ the equation window yields an exact linear system whose unknowns are the
 matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
 boundary artifacts.  ``residual_terms`` re-checks every reported generator on
-every window pair, in integers, on the assembly's scaled bracket memo.
+every window pair, in integers.  Assembly and re-check both read s*[x, y]
+from ``core._scaled_bracket``, the integer bracket memo that the axiom
+checks share.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ from .core import (
     BasisSymbol,
     Element,
     Window,
+    _scale,
+    _scaled_bracket,
     bracket_symbols,
-    eval_rule,
     format_index2,
     format_symbol,
     window_check,
@@ -115,34 +118,6 @@ def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
         for tgt in _targets_for(spec, src, g2):
             unknowns.append((src, tgt))
     return unknowns
-
-
-def _scale(spec: AlgebraSpec) -> int:
-    """The lcm of the rule coefficients' denominators: scale * [x, y] is integral."""
-    return math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
-                      for c in term.coeff.coeffs.values()))
-
-
-def _scaled_bracket(
-    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol
-) -> tuple[tuple[BasisSymbol, int], ...]:
-    """scale * [x, y] as (symbol, int) pairs, memoized on the spec.
-
-    `scale` is `_scale(spec)`, so the memo holds across degrees and calls.
-    A pair that `bracket_symbols` has already evaluated is scaled from its
-    memo; any other is evaluated here and not added to that memo, so no
-    pair is held twice in `Fraction` form.
-    """
-    key = (x, y)
-    terms = spec._scaled.get(key)
-    if terms is None:
-        exact = spec._cache.get(key)
-        if exact is None:
-            exact = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
-        terms = spec._scaled[key] = tuple(
-            (sym, c.numerator * (scale // c.denominator)) for sym, c in exact.items()
-        )
-    return terms
 
 
 def assemble_system(

@@ -15,11 +15,14 @@ not on the solver's integer re-check.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
+`axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
+`Element` sums of `bracket`s over `Fraction`, beside the package's checks,
+which run in `int` on the scaled bracket memo.
 """
 import functools
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Sequence
 
@@ -188,3 +191,33 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
         lambda x, y: derivation_residual(prod.algebra, phi, x, y, F(1, 2)),
         "left multiplication is not a 1/2-derivation",
     )
+
+
+def axiom_oracle(spec, bound2):
+    """Skew, grading and Jacobi on the window |doubled index| <= bound2.
+
+    Returns {check: (tuples checked, [(witness, residual Element), ...])},
+    in the order the package's checks visit their tuples.  Pass a fresh
+    spec: its `Fraction` bracket memo then owes nothing to the `int` one.
+    """
+    symbols = list(spec.basis_symbols(bound2))
+    skew = [((x, y), bracket(spec, x, y) + bracket(spec, y, x))
+            for x, y in combinations_with_replacement(symbols, 2)]
+    grading = []
+    graded = [s for s in symbols if s.twice is not None]
+    for x, y in combinations_with_replacement(graded, 2):
+        want = spec.degree2(x) + spec.degree2(y)
+        for sym, coeff in bracket(spec, x, y).items():
+            if spec.degree2(sym) != want:
+                grading.append(((x, y), Element({sym: coeff})))
+    jacobi = []
+    for x, y, z in combinations(symbols, 3):
+        xy_z = bracket(spec, bracket(spec, x, y), z)
+        yz_x = bracket(spec, bracket(spec, y, z), x)
+        zx_y = bracket(spec, bracket(spec, z, x), y)
+        jacobi.append(((x, y, z), xy_z + yz_x + zx_y))
+    return {
+        "skew": (len(skew), [(w, r) for w, r in skew if r]),
+        "grading": (len(graded) * (len(graded) + 1) // 2, grading),
+        "jacobi": (len(jacobi), [(w, r) for w, r in jacobi if r]),
+    }

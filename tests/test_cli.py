@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, output formats, determinism."""
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +298,55 @@ def test_huge_or_empty_values_exit_2_fast(capsys, argv, message):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "builtin:witt"],
+    _SOLVE_WITT,
+    _TPA_LT1 + ["--alpha", "0:1"],
+], ids=["validate", "solve-deriv", "check-tpa"])
+@pytest.mark.parametrize("neq, shown", [
+    (cli.MAX_NEQ + 1, repr(str(cli.MAX_NEQ + 1))),
+    (100000, "'100000'"),
+    (10**3999, "'" + "1" + "0" * 39 + "'… (4000 characters)"),
+])
+def test_oversized_neq_exit_2_before_any_work(capsys, monkeypatch, argv, neq, shown):
+    # validate --neq N checks O(N^3) triples: 100000 used to run for hours
+    def refuse(*args):
+        raise AssertionError("the algebra was loaded")
+
+    monkeypatch.setattr(cli, "load_algebra", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--neq", str(neq)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: --neq {shown} exceeds the maximum {cli.MAX_NEQ}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "builtin:witt", "--neq", "9" * 5000],
+    ["solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "9" * 5000],
+    _TPA_LT1 + ["--neq", "x" * 5000],
+])
+def test_oversized_window_text_is_cut(capsys, argv):
+    # argparse used to echo the whole value; int() refuses over 4 300 digits
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "expected an integer, got '" in err and "… (5000 characters)" in err
+    assert len(err.encode()) < 600
+
+
+def test_neq_cap_admits_every_documented_window(capsys):
+    # the README's shell examples and the benchmark's windows stay within the cap,
+    # and the cap itself runs
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    texts = [*re.findall(r"```sh\n(.*?)```", readme, re.S),
+             (root / "perfbench" / "workloads.py").read_text()]
+    windows = [int(n) for text in texts for n in re.findall(r"--neq[\"', ]+(\d+)", text)]
+    assert windows and max(windows) <= cli.MAX_NEQ
+    code, out, _ = run(capsys, ["validate", "builtin:witt", "--neq", str(cli.MAX_NEQ)])
+    assert code == 0 and json.loads(out)["ok"]
 
 
 @pytest.mark.parametrize("argv, message", [
