@@ -7,18 +7,18 @@ lives on one lattice: `integer` (L_n), `half` (Y_{n+1/2}) or `central`
 orientation of each family pair; the opposite orientation is synthesized by
 antisymmetry.
 
-``bilinear`` and residual kernels such as ``jacobi_terms`` return plain dicts;
-``bracket`` wraps one in an ``Element``; ``window_check`` builds one per violation.
-``_scaled_bracket`` memoizes s*[x, y] in ``int``, with s = ``_scale(spec)``; the
-axiom checks (skew, grading, Jacobi) and the derivation solver all run on it,
-and build ``Fraction`` values only for a nonzero residual.
+A spec indexes its rules times its ``scale`` s, the lcm of their coefficients'
+denominators, so ``eval_rule`` works in ``int``.  ``bracket_symbols`` memoizes
+s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``, the one bracket memo of
+every check and of the solver.  A ``Fraction`` is built only where a result is
+divided back by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -213,6 +213,20 @@ def add_rule(
     pairs[key] = rule
 
 
+def index_rules(owner, families: Mapping[str, Family], what: str) -> None:
+    """Index `owner.rules` by unordered pair in `owner._pair`, each one checked
+    by `add_rule` and multiplied by `owner.scale`, the lcm of the rule
+    coefficients' denominators, which this sets: `eval_rule` then works in `int`."""
+    for rule in owner.rules:
+        add_rule(owner._pair, families, rule, what)
+    scale = math.lcm(*(c.denominator for rule in owner.rules for term in rule.terms
+                       for c in term.coeff.coeffs.values()))
+    object.__setattr__(owner, "scale", scale)  # owner is a frozen dataclass
+    for key, rule in owner._pair.items():
+        terms = tuple(replace(term, coeff=term.coeff * scale) for term in rule.terms)
+        owner._pair[key] = replace(rule, terms=terms)
+
+
 @dataclass(frozen=True)
 class Window:
     """Truncation bounds in doubled-index units.
@@ -281,16 +295,16 @@ class AlgebraSpec:
     params: Mapping[str, Fraction] = field(default_factory=dict, compare=False)
     # name -> Family in declaration order, filled by __post_init__
     family_map: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # unordered family pair -> rule times scale, both set by index_rules
     _pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    scale: int = field(init=False, repr=False, compare=False, default=1)
+    # (x, y) -> scale * [x, y] as (symbol, int) pairs, filled by bracket_symbols
     _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # (x, y) -> integer-scaled [x, y], filled by _scaled_bracket
-    _scaled: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for fam in self.families:
             add_family(self.family_map, fam)
-        for rule in self.rules:
-            add_rule(self._pair, self.family_map, rule, "bracket")
+        index_rules(self, self.family_map, "bracket")
 
     def family(self, name: str) -> Family:
         try:
@@ -299,7 +313,7 @@ class AlgebraSpec:
             raise StructureError(f"unknown family {_shown(name)} in algebra {self.name}") from None
 
     def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
-        return self._pair.get(frozenset((left, right)))
+        return next((r for r in self.rules if {r.left, r.right} == {left, right}), None)
 
     def degree2(self, sym: BasisSymbol) -> int:
         fam = self.family(sym.family)
@@ -348,12 +362,13 @@ class AlgebraSpec:
 
 def eval_rule(
     spec: AlgebraSpec, pairs: Mapping, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
-) -> dict[BasisSymbol, Fraction]:
-    """Evaluate at (x, y) the rule for their families as a symbol->coefficient dict.
+) -> dict[BasisSymbol, int]:
+    """Evaluate at (x, y) the rule for their families as a symbol->int dict.
 
-    `pairs` is a rule index filled by `add_rule`; a pair with no rule gives {}.
-    When x does not sit in the rule's left slot the index variables swap,
-    and an antisymmetric (bracket) rule also flips its sign.
+    `pairs` indexes rules with integral coefficients (`_pair` of a spec); a
+    pair with no rule gives {}.  When x does not sit in the rule's left slot
+    the index variables swap, and an antisymmetric (bracket) rule also flips
+    its sign.
     """
     rule = pairs.get(frozenset((x.family, y.family)))
     if rule is None:
@@ -364,7 +379,7 @@ def eval_rule(
         sign, a, b = (-1 if antisymmetric else 1), y, x
     mv = spec.rule_var(a)
     nv = spec.rule_var(b)
-    out: dict[BasisSymbol, Fraction] = {}
+    out: dict[BasisSymbol, int] = {}
     for term in rule.terms:
         if term.delta is not None and not term.delta.fires(mv, nv):
             continue
@@ -373,49 +388,21 @@ def eval_rule(
             sym = BasisSymbol(term.target, None)
         else:
             sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + tf.parity)
-        axpy(out, {sym: term.coeff.evaluate(mv, nv)}, sign)
-    return out
+        out[sym] = out.get(sym, 0) + sign * term.coeff.evaluate(mv, nv).numerator
+    return {sym: value for sym, value in out.items() if value}
 
 
-def bracket_symbols(spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, Fraction]:
-    """[x, y] for basis symbols, as a symbol->coefficient dict (memoized)."""
-    key = (x, y)
-    cached = spec._cache.get(key)
-    if cached is not None:
-        return cached
-    spec.family(x.family)  # raise StructureError on unknown families
-    spec.family(y.family)
-    out = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
-    spec._cache[key] = out
-    return out
-
-
-def _scale(spec: AlgebraSpec) -> int:
-    """The lcm of the rule coefficients' denominators: scale * [x, y] is integral."""
-    return math.lcm(*(c.denominator for rule in spec.rules for term in rule.terms
-                      for c in term.coeff.coeffs.values()))
-
-
-def _scaled_bracket(
-    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol
+def bracket_symbols(
+    spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol
 ) -> tuple[tuple[BasisSymbol, int], ...]:
-    """scale * [x, y] as (symbol, int) pairs, memoized on the spec.
-
-    `scale` is `_scale(spec)`, so the memo holds across checks, degrees and
-    calls.  A pair that `bracket_symbols` has already evaluated is scaled
-    from its memo; any other is evaluated here and not added to that memo,
-    so no pair is held twice in `Fraction` form.  Symbols are not checked
-    against the families: callers pass window symbols and rule outputs.
-    """
+    """scale * [x, y] for basis symbols as (symbol, int) pairs, memoized in `spec._cache`."""
     key = (x, y)
-    terms = spec._scaled.get(key)
+    terms = spec._cache.get(key)
     if terms is None:
-        exact = spec._cache.get(key)
-        if exact is None:
-            exact = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
-        terms = spec._scaled[key] = tuple(
-            (sym, c.numerator * (scale // c.denominator)) for sym, c in exact.items()
-        )
+        spec.family(x.family)  # raise StructureError on unknown families
+        spec.family(y.family)
+        out = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
+        terms = spec._cache[key] = tuple(out.items())
     return terms
 
 
@@ -424,25 +411,24 @@ def _over(terms: Mapping[BasisSymbol, int], divisor: int) -> dict[BasisSymbol, F
     return {sym: Fraction(value, divisor) for sym, value in terms.items()}
 
 
-def bilinear(table: Callable, owner, x, y) -> dict[BasisSymbol, Fraction]:
+def bilinear(table: Callable, owner, x, y) -> dict:
     """Bilinear extension of the basis-pair table `table(owner, sx, sy)`, as a fresh dict.
 
-    Each argument is a basis symbol or a symbol->coefficient mapping (an
-    Element works); a mapping on the right is expanded one symbol at a time.
+    The table yields (symbol, coefficient) pairs.  Each argument is a basis
+    symbol or a symbol->coefficient mapping (an Element works).
     """
-    acc: dict[BasisSymbol, Fraction] = {}
-    if not isinstance(y, BasisSymbol):
-        for sy, cy in y.items():
-            axpy(acc, bilinear(table, owner, x, sy), cy)
-        return acc
-    for sx, cx in ({x: 1} if isinstance(x, BasisSymbol) else x).items():
-        axpy(acc, table(owner, sx, y), cx)
-    return acc
+    acc: dict = {}
+    xs = {x: 1} if isinstance(x, BasisSymbol) else x
+    for sy, cy in ({y: 1} if isinstance(y, BasisSymbol) else y).items():
+        for sx, cx in xs.items():
+            for sym, value in table(owner, sx, sy):
+                acc[sym] = acc.get(sym, 0) + cx * cy * value
+    return {sym: value for sym, value in acc.items() if value}
 
 
 def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbol) -> Element:
     """Bilinear extension of the bracket rules to arbitrary elements."""
-    return Element(bilinear(bracket_symbols, spec, x, y))
+    return Element(_over(bilinear(bracket_symbols, spec, x, y), spec.scale))
 
 
 def window_check(
@@ -455,7 +441,7 @@ def window_check(
     """Count `tuples` and record a violation for each nonzero residual(*t).
 
     A residual that is `divisor` times the true one (an `int` kernel on the
-    scaled bracket) is divided back only when it is nonzero.
+    scaled memos) is divided back only when it is nonzero.
     """
     violations = []
     count = 0
@@ -470,39 +456,31 @@ def window_check(
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
 
-    Runs on s*([x,y] + [y,x]) in `int`, s = `_scale(spec)`.
+    Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.
     """
-    scale = _scale(spec)
-
-    def residual(x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, int]:
-        acc = dict(_scaled_bracket(spec, scale, x, y))
-        for sym, value in _scaled_bracket(spec, scale, y, x):
-            acc[sym] = acc.get(sym, 0) + value
-        return {sym: value for sym, value in acc.items() if value}
-
     return window_check(
         "skew",
         itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        residual,
+        lambda x, y: axpy(dict(bracket_symbols(spec, x, y)), dict(bracket_symbols(spec, y, x))),
         "skew-symmetry broken",
-        scale,
+        spec.scale,
     )
 
 
 def _jacobi_scaled(
-    spec: AlgebraSpec, scale: int, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+    spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, int]:
-    """scale**2 * J(x,y,z) in `int`: the cyclic sum on the `_scaled_bracket` memo.
+    """s**2 * J(x,y,z) in `int`: the cyclic sum on the `bracket_symbols` memo.
 
     All three terms are formed as written, so no antisymmetry is assumed:
     on a skew-broken bracket this is still J, not a multiple of it.
     """
     acc: dict[BasisSymbol, int] = {}
     get = acc.get
-    memo = spec._scaled  # read directly on a hit: `_scaled_bracket` fills it
+    memo = spec._cache  # read directly on a hit: `bracket_symbols` fills it
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for sym, coeff in memo.get((a, b)) or _scaled_bracket(spec, scale, a, b):
-            for out, value in memo.get((sym, c)) or _scaled_bracket(spec, scale, sym, c):
+        for sym, coeff in memo.get((a, b)) or bracket_symbols(spec, a, b):
+            for out, value in memo.get((sym, c)) or bracket_symbols(spec, sym, c):
                 acc[out] = get(out, 0) + coeff * value
     return {out: value for out, value in acc.items() if value}
 
@@ -513,8 +491,7 @@ def jacobi_terms(
     """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] as a symbol->coefficient dict."""
     for sym in (x, y, z):
         spec.family(sym.family)  # raise StructureError on unknown families
-    scale = _scale(spec)
-    return _over(_jacobi_scaled(spec, scale, x, y, z), scale * scale)
+    return _over(_jacobi_scaled(spec, x, y, z), spec.scale ** 2)
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
@@ -523,13 +500,12 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     Given bilinearity and antisymmetry, residuals with a repeated symbol
     vanish identically, so distinct triples suffice.
     """
-    scale = _scale(spec)
     return window_check(
         "jacobi",
         itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        functools.partial(_jacobi_scaled, spec, scale),
+        functools.partial(_jacobi_scaled, spec),
         "Jacobi identity broken",
-        scale * scale,
+        spec.scale ** 2,
     )
 
 
@@ -539,7 +515,6 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
     Central targets carry degree 0, so they require the source degrees to
     sum to zero.
     """
-    scale = _scale(spec)
     symbols = list(spec.basis_symbols(window.n_eq2, include_central=False))
     violations = []
     count = 0
@@ -547,12 +522,12 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
         for y in symbols[i:]:
             count += 1
             want = spec.degree2(x) + spec.degree2(y)
-            for sym, value in _scaled_bracket(spec, scale, x, y):
+            for sym, value in bracket_symbols(spec, x, y):
                 if spec.degree2(sym) != want:
                     violations.append(
                         Violation(
                             (x, y),
-                            Element({sym: Fraction(value, scale)}),
+                            Element({sym: Fraction(value, spec.scale)}),
                             f"term degree {format_index2(spec.degree2(sym))} != "
                             f"source degree sum {format_index2(want)}",
                         )

@@ -11,9 +11,9 @@ the equation window yields an exact linear system whose unknowns are the
 matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
 boundary artifacts.  ``residual_terms`` re-checks every reported generator on
-every window pair, in integers.  Assembly and re-check both read s*[x, y]
-from ``core._scaled_bracket``, the integer bracket memo that the axiom
-checks share.
+every window pair, in integers.  Unknowns, assembly and re-check all read
+s*[x, y] from ``core.bracket_symbols``, the one bracket memo, which the
+axiom and TPA checks share.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ from .core import (
     BasisSymbol,
     Element,
     Window,
-    _scale,
-    _scaled_bracket,
+    _over,
     bracket_symbols,
     format_index2,
     format_symbol,
@@ -49,20 +48,20 @@ def residual_terms(
     """q*phi([x,y]) - p*([phi(x),y] + [x,phi(y)]): q times the residual at delta = p/q.
 
     `table(a, b)` yields the (symbol, coefficient) terms of [a, b], or of a
-    fixed multiple of it; phi maps a symbol to its image as a mapping (an
-    Element works too).  Integer tables and images keep it all in `int`.
+    fixed multiple of it, and `phi(s)` the terms of the image of s, or of a
+    fixed multiple of it.  Integer tables and images keep it all in `int`.
     """
     acc: dict[BasisSymbol, Fraction | int] = {}
     get = acc.get
     for sym, coeff in table(x, y):
         coeff *= q
-        for out, value in phi(sym).items():
+        for out, value in phi(sym):
             acc[out] = get(out, 0) + coeff * value
-    for sym, coeff in phi(x).items():
+    for sym, coeff in phi(x):
         coeff *= p
         for out, value in table(sym, y):
             acc[out] = get(out, 0) - coeff * value
-    for sym, coeff in phi(y).items():
+    for sym, coeff in phi(y):
         coeff *= p
         for out, value in table(x, sym):
             acc[out] = get(out, 0) - coeff * value
@@ -76,18 +75,12 @@ def derivation_residual(
     y: BasisSymbol,
     delta: Fraction = Fraction(1, 2),
 ) -> Element:
-    """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as an Element."""
-    if not callable(phi):
-        table = phi
-        phi = lambda s: table.get(s, {})
+    """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as an Element, from q*s times it."""
+    image = phi if callable(phi) else lambda s: phi.get(s, {})
     q = delta.denominator
-    terms = residual_terms(_bracket_table(spec), phi, x, y, delta.numerator, q)
-    return Element({sym: Fraction(c, q) for sym, c in terms.items()})
-
-
-def _bracket_table(spec: AlgebraSpec):
-    """The exact `Fraction` bracket of `spec` as a `residual_terms` table."""
-    return lambda a, b: bracket_symbols(spec, a, b).items()
+    table = functools.partial(bracket_symbols, spec)
+    terms = residual_terms(table, lambda s: image(s).items(), x, y, delta.numerator, q)
+    return Element(_over(terms, q * spec.scale))
 
 
 def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisSymbol]:
@@ -111,7 +104,7 @@ def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
     symbols = list(spec.basis_symbols(window.n_eq2))
     sources = set(symbols)
     for x, y in itertools.combinations(symbols, 2):
-        sources.update(bracket_symbols(spec, x, y))
+        sources.update(sym for sym, _ in bracket_symbols(spec, x, y))
     order = {name: i for i, name in enumerate(spec.family_map)}
     unknowns: list[Unknown] = []
     for src in sorted(sources, key=lambda s: (order[s.family], s.twice or 0)):
@@ -128,12 +121,11 @@ def assemble_system(
 ) -> tuple[list[Unknown], list[linalg.SparseRow]]:
     """Unknown list plus sparse residual rows over those unknowns.
 
-    With delta = p/q and scale = `_scale(spec)`, each row is q*scale times
-    the residual's row and holds `int` entries.  Scaling a row keeps the row
-    space, so the kernel and its RREF are unchanged.
+    With delta = p/q, each row is q*`spec.scale` times the residual's row
+    and holds `int` entries.  Scaling a row keeps the row space, so the
+    kernel and its RREF are unchanged.
     Rows come in no particular order: their RREF, and so the kernel, is unique.
     """
-    scale = _scale(spec)
     p, q = delta.numerator, delta.denominator
     unknowns = build_unknowns(spec, g2, window)
     # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
@@ -149,7 +141,7 @@ def assemble_system(
                 continue  # central-central rows vanish identically
             # the residual's row at each output symbol: column -> coefficient
             by_output: dict[BasisSymbol, linalg.SparseRow] = {}
-            for mid, value in _scaled_bracket(spec, scale, x, y):
+            for mid, value in bracket_symbols(spec, x, y):
                 # sources with no degree-matched targets have zero image
                 value *= q
                 for tgt, column in image.get(mid, ()):
@@ -159,7 +151,7 @@ def assemble_system(
                 # [phi(left), other]; sign restores [other, phi(left)] order
                 factor = -p * sign
                 for tgt, column in image.get(left, ()):  # centrals may be absent
-                    for sym, value in _scaled_bracket(spec, scale, tgt, other):
+                    for sym, value in bracket_symbols(spec, tgt, other):
                         row = by_output.setdefault(sym, {})
                         row[column] = row.get(column, 0) + factor * value
             for row in by_output.values():
@@ -317,7 +309,7 @@ def solve_degree(
     checked = True
     symbols = list(spec.basis_symbols(window.n_eq2))
     # the residual of lcm * phi on scale * [,], cleared by q: all in int
-    table = functools.partial(_scaled_bracket, spec, _scale(spec))
+    table = functools.partial(bracket_symbols, spec)
     p, q = delta.numerator, delta.denominator
     for full in basis:
         lcm = math.lcm(*(v.denominator for v in full.values()))
@@ -325,7 +317,7 @@ def solve_degree(
         for c, v in full.items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v.numerator * (lcm // v.denominator)
-        phi = lambda s: images.get(s, {})
+        phi = lambda s: images.get(s, {}).items()
         checked &= window_check(
             "derivation",
             itertools.combinations(symbols, 2),

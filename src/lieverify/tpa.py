@@ -8,10 +8,12 @@ The law says exactly that left multiplication phi = z*(-) is a
 phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]) cleared of the denominator 2,
 so ``compatibility_terms`` is ``residual_terms`` at p/q = 1/2.
 
-The residual kernels ``associativity_terms`` and ``compatibility_terms``
-return symbol->coefficient dicts built through ``core.bilinear`` from the
-memoized ``product_symbols`` and ``bracket_symbols`` tables; an ``Element``
-is built only when a check records a violation, or by ``product``.
+``product_symbols`` memoizes s_p*(x*y) as (symbol, ``int``) pairs, with s_p
+= ``prod.scale``, as ``bracket_symbols`` does s*[x, y].  The checks run in
+``int`` on both memos (associativity on s_p**2 times its residual,
+compatibility on s*s_p times it); a ``Fraction`` is built only for a
+violation, or by ``product``, ``associativity_terms`` and
+``compatibility_terms``, which divide back by their scale.
 
 A candidate product is given by symmetric rules in the same shape as
 bracket rules.  ``check_tpa`` verifies commutativity (structural),
@@ -36,13 +38,15 @@ from .core import (
     Element,
     StructureError,
     Report,
-    add_rule,
+    _over,
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
+    bracket_symbols,
     eval_rule,
+    index_rules,
     window_check,
 )
-from .derivations import _bracket_table, residual_terms
+from .derivations import residual_terms
 from .linalg import axpy
 from .poly import Poly
 
@@ -53,32 +57,35 @@ class ProductSpec:
 
     Rules are stored for one orientation of each family pair; the
     reversed orientation swaps the index variables without a sign.
+    `_pair` and `scale` are as on `AlgebraSpec`.
     """
 
     algebra: AlgebraSpec
     rules: tuple[BracketRule, ...]
     _pair: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    scale: int = field(default=1, init=False, repr=False, compare=False)
+    # canonical (x, y) -> scale * (x*y) as (symbol, int) pairs, filled by product_symbols
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for rule in self.rules:
-            add_rule(self._pair, self.algebra.family_map, rule, "product")
+        index_rules(self, self.algebra.family_map, "product")
 
 
-def product_symbols(prod: ProductSpec, x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, Fraction]:
+def product_symbols(
+    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol
+) -> tuple[tuple[BasisSymbol, int], ...]:
+    """scale * (x*y) for basis symbols as (symbol, int) pairs, memoized in `prod._cache`."""
     # canonical argument order keeps the product symmetric by construction
-    key = (x, y)
-    if (y.family, y.twice or 0) < (x.family, x.twice or 0):
-        key = (y, x)
-    cached = prod._cache.get(key)
-    if cached is None:
-        cached = eval_rule(prod.algebra, prod._pair, key[0], key[1], antisymmetric=False)
-        prod._cache[key] = cached
-    return cached
+    key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
+    terms = prod._cache.get(key)
+    if terms is None:
+        out = eval_rule(prod.algebra, prod._pair, *key, antisymmetric=False)
+        terms = prod._cache[key] = tuple(out.items())
+    return terms
 
 
 def product(prod: ProductSpec, x, y) -> Element:
-    return Element(bilinear(product_symbols, prod, x, y))
+    return Element(_over(bilinear(product_symbols, prod, x, y), prod.scale))
 
 
 def theorem_product(
@@ -116,40 +123,63 @@ def theorem_product(
 def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     """Products are stored once per unordered pair, so x*y == y*x holds
     by construction; the remaining content is that each rule evaluates
-    identically with its two arguments exchanged."""
-    # both orientations bypass the memo: its canonical key would make them equal
-    rule = functools.partial(eval_rule, prod.algebra, prod._pair, antisymmetric=False)
+    identically with its two arguments exchanged.  Only a one-family rule
+    can differ; the window lists its pairs in the memo's order, so the memo
+    gives x*y and only y*x is evaluated here."""
+
+    def residual(x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, int]:
+        if x.family != y.family or x == y:
+            return {}
+        swapped = eval_rule(prod.algebra, prod._pair, y, x, antisymmetric=False)
+        return axpy(dict(product_symbols(prod, x, y)), swapped, -1)
+
     return window_check(
         "commutativity",
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: axpy(rule(x, y), rule(y, x), -1),
+        residual,
         "commutativity broken",
+        prod.scale,
     )
+
+
+def _associativity_scaled(
+    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, int]:
+    """s_p**2 * ((x*y)*z - x*(y*z)) in `int`, reading x*s as s*x: products are symmetric."""
+    lhs = bilinear(product_symbols, prod, dict(product_symbols(prod, x, y)), z)
+    return axpy(lhs, bilinear(product_symbols, prod, dict(product_symbols(prod, y, z)), x), -1)
 
 
 def associativity_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
-    """(x*y)*z - x*(y*z) as a dict, reading x*s as s*x: products are symmetric."""
-    lhs = bilinear(product_symbols, prod, product_symbols(prod, x, y), z)
-    return axpy(lhs, bilinear(product_symbols, prod, product_symbols(prod, y, z), x), -1)
+    """(x*y)*z - x*(y*z) as a symbol->coefficient dict."""
+    return _over(_associativity_scaled(prod, x, y, z), prod.scale ** 2)
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
     return window_check(
         "associativity",
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 3),
-        functools.partial(associativity_terms, prod),
+        functools.partial(_associativity_scaled, prod),
         "associativity broken",
+        prod.scale ** 2,
     )
+
+
+def _compatibility_scaled(
+    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
+) -> dict[BasisSymbol, int]:
+    """s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in `int`: the 1/2-derivation residual of z*(-)."""
+    table = functools.partial(bracket_symbols, prod.algebra)
+    return residual_terms(table, functools.partial(product_symbols, prod, z), x, y, 1, 2)
 
 
 def compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
-    """2*z*[x,y] - [z*x, y] - [x, z*y]: the 1/2-derivation residual of z*(-), cleared by q = 2."""
-    phi = functools.partial(product_symbols, prod, z)
-    return residual_terms(_bracket_table(prod.algebra), phi, x, y, 1, 2)
+    """2*z*[x,y] - [z*x, y] - [x, z*y] as a symbol->coefficient dict."""
+    return _over(_compatibility_scaled(prod, x, y, z), prod.algebra.scale * prod.scale)
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
@@ -157,8 +187,9 @@ def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        functools.partial(compatibility_terms, prod),
+        functools.partial(_compatibility_scaled, prod),
         "compatibility broken",
+        prod.algebra.scale * prod.scale,
     )
 
 

@@ -4,20 +4,25 @@
 integer matrix, kept deliberately separate from the package's sparse
 elimination.  The interior-dimension computation is reimplemented on top
 of it so it shares no sparse bookkeeping with the production path.
+`rule_table` is the oracle's own rule evaluator: `Poly.evaluate` on the
+rules as written, over `Fraction`, with a memo of its own.  It shares no
+memo, no scale and no `eval_rule` with the package, whose checks run in
+`int` on rules multiplied by a scale.  `oracle_bracket` and `oracle_product`
+are its two tables.
 `compatibility_oracle` writes the transposed-Poisson law out term by term,
 beside the package's route through the 1/2-derivation residual, and
-`associativity_oracle` forms (x*y)*z - x*(y*z) from `product` elements,
+`associativity_oracle` forms (x*y)*z - x*(y*z) from product elements,
 beside the package's dict residual.
 `check_left_mult` checks that left multiplication by one fixed z is a
 1/2-derivation, the identity the package checks for every z at once as the
-compatibility law; it runs on the `Fraction` route of `derivation_residual`,
-not on the solver's integer re-check.
+compatibility law; it writes the residual out as `Element`s on the oracle's
+tables.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
-`Element` sums of `bracket`s over `Fraction`, beside the package's checks,
-which run in `int` on the scaled bracket memo.
+`Element` sums of oracle brackets over `Fraction`, beside the package's
+checks, which run in `int` on the scaled bracket memo.
 """
 import functools
 from collections import defaultdict
@@ -26,14 +31,14 @@ from itertools import combinations, combinations_with_replacement
 from math import gcd
 from typing import Sequence
 
-from lieverify.core import BasisSymbol, Element, Report, bilinear, bracket, window_check
+from lieverify.core import CENTRAL, BasisSymbol, Element, Report, bracket, window_check
 from lieverify.derivations import (
     _is_core,
     assemble_system,
     build_unknowns,
     derivation_residual,
 )
-from lieverify.tpa import ProductSpec, product, product_symbols
+from lieverify.tpa import ProductSpec
 
 F = Fraction
 
@@ -167,28 +172,79 @@ def residual_rows(spec, g2, window, delta=F(1, 2)):
     return unknowns, list(rows.values())
 
 
+@functools.lru_cache(maxsize=32)  # equal specs and rules give equal tables
+def rule_table(spec, rules, antisymmetric, canonical=False):
+    """(x, y) -> the value of `rules` at x, y (basis symbols or Elements) as an Element.
+
+    The reversed orientation of a rule swaps m and n, and flips the sign
+    only when `antisymmetric` (brackets).  With `canonical`, basis pairs
+    are read in (family, index) order, as a product is defined: a rule that
+    is not symmetric in m and n still gives x*y = y*x.
+    """
+    memo = {}
+
+    def basis(x, y):
+        if canonical and (y.family, y.twice or 0) < (x.family, x.twice or 0):
+            x, y = y, x
+        if (x, y) not in memo:
+            out = memo[x, y] = {}
+            for rule in rules:
+                if (rule.left, rule.right) == (x.family, y.family):
+                    sign, a, b = 1, x, y
+                elif (rule.left, rule.right) == (y.family, x.family):
+                    sign, a, b = (-1 if antisymmetric else 1), y, x
+                else:
+                    continue
+                m, n = a.twice // 2, b.twice // 2
+                for t in rule.terms:
+                    if t.delta is None or t.delta.fires(m, n):
+                        fam = spec.family(t.target)
+                        twice = 2 * (m + n + t.offset) + fam.parity
+                        sym = BasisSymbol(t.target, None if fam.lattice == CENTRAL else twice)
+                        out[sym] = out.get(sym, 0) + sign * t.coeff.evaluate(m, n)
+        return memo[x, y]
+
+    def value(x, y):
+        xs = x.terms if isinstance(x, Element) else {x: 1}
+        ys = y.terms if isinstance(y, Element) else {y: 1}
+        total = {}
+        for sx, cx in xs.items():
+            for sy, cy in ys.items():
+                for sym, coeff in basis(sx, sy).items():
+                    total[sym] = total.get(sym, 0) + cx * cy * coeff
+        return Element(total)
+
+    return value
+
+
+def oracle_bracket(spec):
+    return rule_table(spec, spec.rules, antisymmetric=True)
+
+
+def oracle_product(prod):
+    return rule_table(prod.algebra, prod.rules, antisymmetric=False, canonical=True)
+
+
 def compatibility_oracle(prod, x, y, z):
     """2*z*[x,y] - [z*x,y] - [x,z*y], formed as three separate elements."""
-    spec = prod.algebra
-    zxy = product(prod, z, bracket(spec, x, y)).scale(2)
-    return zxy - bracket(spec, product(prod, z, x), y) - bracket(spec, x, product(prod, z, y))
+    br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
+    return mul(z, br(x, y)).scale(2) - br(mul(z, x), y) - br(x, mul(z, y))
 
 
 def associativity_oracle(prod, x, y, z):
     """(x*y)*z - x*(y*z), formed as two separate elements."""
-    return product(prod, product(prod, x, y), z) - product(prod, x, product(prod, y, z))
+    mul = oracle_product(prod)
+    return mul(mul(x, y), z) - mul(x, mul(y, z))
 
 
 def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) -> Report:
     """Check that left multiplication by z is a 1/2-derivation."""
-    if isinstance(z, BasisSymbol):
-        phi = functools.partial(product_symbols, prod, z)
-    else:
-        phi = functools.partial(bilinear, product_symbols, prod, z)
+    br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
+    phi = lambda s: mul(z, s)
     return window_check(
         "left-multiplication",
         combinations(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: derivation_residual(prod.algebra, phi, x, y, F(1, 2)),
+        lambda x, y: phi(br(x, y)) - (br(phi(x), y) + br(x, phi(y))).scale(F(1, 2)),
         "left multiplication is not a 1/2-derivation",
     )
 
@@ -197,24 +253,24 @@ def axiom_oracle(spec, bound2):
     """Skew, grading and Jacobi on the window |doubled index| <= bound2.
 
     Returns {check: (tuples checked, [(witness, residual Element), ...])},
-    in the order the package's checks visit their tuples.  Pass a fresh
-    spec: its `Fraction` bracket memo then owes nothing to the `int` one.
+    in the order the package's checks visit their tuples.
     """
+    br = oracle_bracket(spec)
     symbols = list(spec.basis_symbols(bound2))
-    skew = [((x, y), bracket(spec, x, y) + bracket(spec, y, x))
+    skew = [((x, y), br(x, y) + br(y, x))
             for x, y in combinations_with_replacement(symbols, 2)]
     grading = []
     graded = [s for s in symbols if s.twice is not None]
     for x, y in combinations_with_replacement(graded, 2):
         want = spec.degree2(x) + spec.degree2(y)
-        for sym, coeff in bracket(spec, x, y).items():
+        for sym, coeff in br(x, y).items():
             if spec.degree2(sym) != want:
                 grading.append(((x, y), Element({sym: coeff})))
     jacobi = []
     for x, y, z in combinations(symbols, 3):
-        xy_z = bracket(spec, bracket(spec, x, y), z)
-        yz_x = bracket(spec, bracket(spec, y, z), x)
-        zx_y = bracket(spec, bracket(spec, z, x), y)
+        xy_z = br(br(x, y), z)
+        yz_x = br(br(y, z), x)
+        zx_y = br(br(z, x), y)
         jacobi.append(((x, y, z), xy_z + yz_x + zx_y))
     return {
         "skew": (len(skew), [(w, r) for w, r in skew if r]),

@@ -1,17 +1,19 @@
 """The integer axiom checks against an independent `Fraction` oracle.
 
 `check_skew`, `check_grading` and `check_jacobi` run in `int` on the scaled
-bracket memo; `axiom_oracle` writes each law out as `Element` sums of
-`bracket`s.  Whole reports must agree: tuple counts, witnesses, residuals
-and their order.
+bracket memo; `axiom_oracle` writes each law out as `Element` sums of its own
+`Fraction` brackets.  Whole reports must agree: tuple counts, witnesses,
+residuals and their order.
 """
+import functools
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from lieverify import catalog, core, dsl
+from lieverify import catalog, cli, core, dsl
 from lieverify.core import (
     AlgebraSpec,
     BasisSymbol,
@@ -21,10 +23,11 @@ from lieverify.core import (
     Window,
     check_grading,
     check_jacobi,
+    bracket_symbols,
     check_skew,
     jacobi_terms,
 )
-from lieverify.derivations import _bracket_table, residual_terms
+from lieverify.derivations import residual_terms
 
 from _oracle import axiom_oracle
 from test_core import _mutant_so_hat
@@ -83,7 +86,7 @@ def test_perturbed_representative_matches_oracle(name, params):
 def test_some_perturbation_breaks_jacobi_with_a_scale():
     # the residuals are divided back by scale**2, so a violation with scale > 1 must occur
     broken = [_perturbed(*rep) for rep in catalog.REPRESENTATIVES]
-    assert any(core._scale(spec) > 1 and not check_jacobi(spec, Window(4, 0)).passed
+    assert any(spec.scale > 1 and not check_jacobi(spec, Window(4, 0)).passed
                for spec in broken)
 
 
@@ -95,11 +98,11 @@ def test_skew_broken_triples_need_the_cyclic_sum():
     """
     spec = _broken()
     report = check_jacobi(spec, Window(12, 0))
-    table = _bracket_table(spec)
+    table = functools.partial(bracket_symbols, spec)
     lost = {}
     for v in report.violations:
         x, y, z = v.witness
-        if not residual_terms(table, lambda s: core.bracket_symbols(spec, z, s), x, y, 1, 1):
+        if not residual_terms(table, lambda s: bracket_symbols(spec, z, s), x, y, 1, 1):
             lost[v.witness] = v.residual
     c_n = BasisSymbol("C_N", None)
     assert lost == {
@@ -111,10 +114,51 @@ def test_skew_broken_triples_need_the_cyclic_sum():
         assert Element(jacobi_terms(spec, x, y, z)) == residual
 
 
-def test_passing_checks_never_touch_the_fraction_memo():
-    spec = catalog.builtin("so_hat")
-    with mock.patch.object(core, "bracket_symbols", wraps=core.bracket_symbols) as spy:
-        for check in CHECKS.values():
-            assert check(spec, Window(12, 0)).passed
-    spy.assert_not_called()
-    assert not spec._cache
+PASSING_RUNS = [
+    ["validate", "builtin:so_hat", "--neq", "6"],
+    ["check-tpa", "builtin:Ltilde1", "--param", "lambda=1", "--param", "mu=1/4",
+     "--product", "builtin:theorem", "--alpha", "-1:3/2", "--beta", "1:-2/3", "--neq", "4"],
+]
+
+
+def spy_on_eval_rule(monkeypatch):
+    """Record (rule index id, x, y) of every `eval_rule` call, through any module's name for it."""
+    seen = []
+    evaluate = core.eval_rule
+
+    def spy(spec, rules, x, y, antisymmetric):
+        seen.append((id(rules), x, y))
+        return evaluate(spec, rules, x, y, antisymmetric)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieverify") and getattr(module, "eval_rule", None) is evaluate:
+            monkeypatch.setattr(module, "eval_rule", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv", PASSING_RUNS)
+def test_eval_rule_runs_once_per_pair_per_table(argv, tmp_path, monkeypatch):
+    """Each ordered pair is evaluated once per rule table (bracket or product)."""
+    seen = spy_on_eval_rule(monkeypatch)
+    assert cli.run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("argv", PASSING_RUNS)
+def test_passing_checks_build_no_fraction_residual(argv, tmp_path):
+    """A passing run divides nothing back by a scale and builds no `Element`."""
+    calls = []
+    over, init = core._over, core.Element.__init__
+
+    def spy(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    with mock.patch.object(core.Element, "__init__", spy(init)):
+        with mock.patch.multiple(core, _over=spy(over)), \
+                mock.patch("lieverify.tpa._over", spy(over)), \
+                mock.patch("lieverify.derivations._over", spy(over)):
+            assert cli.run([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == []

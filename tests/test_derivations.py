@@ -7,13 +7,12 @@ from unittest import mock
 
 import pytest
 
-from _oracle import oracle_interior_dim, residual_rows
+from _oracle import oracle_bracket, oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
-from lieverify import catalog, core, derivations, linalg
+from test_axioms import spy_on_eval_rule
+from lieverify import catalog, derivations, linalg
 from lieverify.core import BasisSymbol, Element, Window, bracket_symbols
 from lieverify.derivations import (
-    _scale,
-    _scaled_bracket,
     assemble_system,
     build_unknowns,
     derivation_residual,
@@ -106,7 +105,9 @@ def test_unknowns_follow_the_equations(key, g2):
     spec = catalog.builtin(*DERIV_CONFIGS[key])
     window = Window.displayed(3, 1)
     symbols = list(spec.basis_symbols(window.n_eq2))
-    reached = set(symbols).union(*(bracket_symbols(spec, x, y) for x, y in combinations(symbols, 2)))
+    reached = set(symbols).union(
+        *(dict(bracket_symbols(spec, x, y)) for x, y in combinations(symbols, 2))
+    )
     targets: dict[BasisSymbol, list[BasisSymbol]] = {}
     for src, tgt in build_unknowns(spec, g2, window):
         targets.setdefault(src, []).append(tgt)
@@ -170,39 +171,29 @@ def test_modular_kernel_equals_exact_route(key):
 
 @pytest.mark.parametrize("name, params", catalog.REPRESENTATIVES)
 def test_scaled_bracket_is_exact(name, params):
-    """scale * [x, y] in int on every ordered window pair, whether the pair is
-    evaluated by `_scaled_bracket` itself or read from the `bracket_symbols` memo."""
-    fresh, memo = catalog.builtin(name, params), catalog.builtin(name, params)
-    scale = _scale(fresh)
-    pairs = list(product(fresh.basis_symbols(6), repeat=2))
-    for x, y in pairs:
-        bracket_symbols(memo, x, y)
-    for x, y in pairs:
-        want = {sym: scale * c for sym, c in bracket_symbols(fresh, x, y).items()}
-        for spec in (fresh, memo):
-            terms = _scaled_bracket(spec, scale, x, y)
+    """scale * [x, y] in int on every ordered window pair, both when the pair is
+    evaluated and when it is read back from the memo, against the oracle's bracket."""
+    spec = catalog.builtin(name, params)
+    exact = oracle_bracket(spec)
+    for x, y in product(spec.basis_symbols(6), repeat=2):
+        want = {sym: spec.scale * c for sym, c in exact(x, y).items()}
+        for terms in (bracket_symbols(spec, x, y), bracket_symbols(spec, x, y)):
             assert all(type(v) is int for _, v in terms)
             assert dict(terms) == want, (name, x, y)
 
 
 def test_some_representative_needs_a_scale():
-    assert any(_scale(catalog.builtin(*rep)) > 1 for rep in catalog.REPRESENTATIVES)
+    assert any(catalog.builtin(*rep).scale > 1 for rep in catalog.REPRESENTATIVES)
 
 
-def test_eval_rule_runs_once_per_distinct_pair():
-    """One solve evaluates each ordered pair once, between the Fraction and int memos."""
+def test_eval_rule_runs_once_per_distinct_pair(monkeypatch):
+    """One solve evaluates each ordered pair once, into the one memo."""
     spec = catalog.builtin("Ltilde1", {"lambda": F(1), "mu": F(1, 4)})
-    pairs = []
-
-    def spy(spec, rules, x, y, antisymmetric):
-        pairs.append((x, y))
-        return evaluate(spec, rules, x, y, antisymmetric)
-
-    evaluate = core.eval_rule
-    with mock.patch.object(core, "eval_rule", spy):
-        solve_derivations(spec, [-2, -1, 0, 1, 2], Window.displayed(4, 1))
+    seen = spy_on_eval_rule(monkeypatch)
+    solve_derivations(spec, [-2, -1, 0, 1, 2], Window.displayed(4, 1))
+    pairs = [(x, y) for _, x, y in seen]
     assert pairs and len(pairs) == len(set(pairs))
-    assert set(pairs) == set(spec._scaled) | set(spec._cache)
+    assert set(pairs) == set(spec._cache)
 
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
@@ -219,7 +210,7 @@ def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
         return basis
 
     def kernel(table, phi, x, y, p, q):
-        assert all(type(v) is int for s in (x, y) for v in phi(s).values())
+        assert all(type(v) is int for s in (x, y) for _, v in phi(s))
         residuals.append(residual_terms(table, phi, x, y, p, q))
         return residuals[-1]
 
@@ -236,7 +227,7 @@ def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
         images = {}
         for c, v in full.items():
             images.setdefault(unknowns[c][0], {})[unknowns[c][1]] = v
-        factor = math.lcm(*(v.denominator for v in full.values())) * _scale(spec) * delta.denominator
+        factor = math.lcm(*(v.denominator for v in full.values())) * spec.scale * delta.denominator
         for (x, y), got in zip(pairs, residuals[i * len(pairs):]):
             assert all(type(v) is int for v in got.values())
             want = derivation_residual(spec, lambda s: images.get(s, {}), x, y, delta)
