@@ -7,18 +7,18 @@ lives on one lattice: `integer` (L_n), `half` (Y_{n+1/2}) or `central`
 orientation of each family pair; the opposite orientation is synthesized by
 antisymmetry.
 
-A spec indexes its rules times its ``scale`` s, the lcm of their coefficients'
-denominators, so ``eval_rule`` works in ``int``.  ``bracket_symbols`` memoizes
-s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``, the one bracket memo of
-every check and of the solver.  A ``Fraction`` is built only where a result is
-divided back by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
+A spec compiles its rules times its ``scale`` s, the lcm of their coefficients'
+denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
+``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
+the one bracket memo of every check and of the solver.  A ``Fraction`` is built
+only to divide by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -213,9 +213,23 @@ def add_rule(
     pairs[key] = rule
 
 
+def _compiled(term: BracketTerm, target: Family, scale: int):
+    """`term` times `scale` as (monomials, fires_at, target, base), or None if it never fires:
+    (em, en, int coefficient) triples, the integer m+n at which its delta fires (None:
+    always), the target's name and its doubled index less 2*(m+n) (None if central)."""
+    fires_at = None
+    if term.delta is not None:
+        if term.delta.shift.denominator != 1:
+            return None  # an off-lattice delta never fires
+        fires_at = -term.delta.shift.numerator
+    monomials = tuple((em, en, (c * scale).numerator) for (em, en), c in term.coeff.coeffs.items())
+    base = None if target.lattice == CENTRAL else 2 * term.offset + target.parity
+    return monomials, fires_at, target.name, base
+
+
 def index_rules(owner, families: Mapping[str, Family], what: str) -> None:
     """Index `owner.rules` by unordered pair in `owner._pair`, each one checked
-    by `add_rule` and multiplied by `owner.scale`, the lcm of the rule
+    by `add_rule` and compiled times `owner.scale`, the lcm of the rule
     coefficients' denominators, which this sets: `eval_rule` then works in `int`."""
     for rule in owner.rules:
         add_rule(owner._pair, families, rule, what)
@@ -223,8 +237,8 @@ def index_rules(owner, families: Mapping[str, Family], what: str) -> None:
                        for c in term.coeff.coeffs.values()))
     object.__setattr__(owner, "scale", scale)  # owner is a frozen dataclass
     for key, rule in owner._pair.items():
-        terms = tuple(replace(term, coeff=term.coeff * scale) for term in rule.terms)
-        owner._pair[key] = replace(rule, terms=terms)
+        terms = (_compiled(term, families[term.target], scale) for term in rule.terms)
+        owner._pair[key] = (rule.left, rule.right, tuple(t for t in terms if t is not None))
 
 
 @dataclass(frozen=True)
@@ -295,7 +309,7 @@ class AlgebraSpec:
     params: Mapping[str, Fraction] = field(default_factory=dict, compare=False)
     # name -> Family in declaration order, filled by __post_init__
     family_map: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    # unordered family pair -> rule times scale, both set by index_rules
+    # unordered family pair -> (left, right, `_compiled` terms), and scale: set by index_rules
     _pair: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     scale: int = field(init=False, repr=False, compare=False, default=1)
     # (x, y) -> scale * [x, y] as (symbol, int) pairs, filled by bracket_symbols
@@ -311,9 +325,6 @@ class AlgebraSpec:
             return self.family_map[name]
         except KeyError:
             raise StructureError(f"unknown family {_shown(name)} in algebra {self.name}") from None
-
-    def rule_for(self, left: str, right: str) -> Optional[BracketRule]:
-        return next((r for r in self.rules if {r.left, r.right} == {left, right}), None)
 
     def degree2(self, sym: BasisSymbol) -> int:
         fam = self.family(sym.family)
@@ -365,7 +376,7 @@ def eval_rule(
 ) -> dict[BasisSymbol, int]:
     """Evaluate at (x, y) the rule for their families as a symbol->int dict.
 
-    `pairs` indexes rules with integral coefficients (`_pair` of a spec); a
+    `pairs` indexes compiled rules (`_pair` of a spec, see `index_rules`); a
     pair with no rule gives {}.  When x does not sit in the rule's left slot
     the index variables swap, and an antisymmetric (bracket) rule also flips
     its sign.
@@ -373,22 +384,20 @@ def eval_rule(
     rule = pairs.get(frozenset((x.family, y.family)))
     if rule is None:
         return {}
-    if rule.left == x.family and (rule.right == y.family or rule.left == rule.right):
+    left, right, terms = rule
+    if left == x.family and (right == y.family or left == right):
         sign, a, b = 1, x, y
     else:
         sign, a, b = (-1 if antisymmetric else 1), y, x
     mv = spec.rule_var(a)
     nv = spec.rule_var(b)
     out: dict[BasisSymbol, int] = {}
-    for term in rule.terms:
-        if term.delta is not None and not term.delta.fires(mv, nv):
+    for monomials, fires_at, target, base in terms:
+        if fires_at is not None and fires_at != mv + nv:
             continue
-        tf = spec.family(term.target)
-        if tf.lattice == CENTRAL:
-            sym = BasisSymbol(term.target, None)
-        else:
-            sym = BasisSymbol(term.target, 2 * (mv + nv + term.offset) + tf.parity)
-        out[sym] = out.get(sym, 0) + sign * term.coeff.evaluate(mv, nv).numerator
+        sym = BasisSymbol(target, None if base is None else 2 * (mv + nv) + base)
+        value = sum(c * mv ** em * nv ** en for em, en, c in monomials)
+        out[sym] = out.get(sym, 0) + sign * value
     return {sym: value for sym, value in out.items() if value}
 
 
@@ -477,10 +486,14 @@ def _jacobi_scaled(
     """
     acc: dict[BasisSymbol, int] = {}
     get = acc.get
-    memo = spec._cache  # read directly on a hit: `bracket_symbols` fills it
+    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for sym, coeff in memo.get((a, b)) or bracket_symbols(spec, a, b):
-            for out, value in memo.get((sym, c)) or bracket_symbols(spec, sym, c):
+        if (outer := memo.get((a, b))) is None:
+            outer = bracket_symbols(spec, a, b)
+        for sym, coeff in outer:
+            if (inner := memo.get((sym, c))) is None:
+                inner = bracket_symbols(spec, sym, c)
+            for out, value in inner:
                 acc[out] = get(out, 0) + coeff * value
     return {out: value for out, value in acc.items() if value}
 

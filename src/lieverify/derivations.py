@@ -13,7 +13,7 @@ nullspace is projected onto an interior sub-window to discard window
 boundary artifacts.  ``residual_terms`` re-checks every reported generator on
 every window pair, in integers.  Unknowns, assembly and re-check all read
 s*[x, y] from ``core.bracket_symbols``, the one bracket memo, which the
-axiom and TPA checks share.
+axiom and TPA checks share; ``window_frame`` lists the window's pairs once per solve.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .dsl import _shift_str
@@ -98,19 +98,31 @@ def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisS
     return out
 
 
-def build_unknowns(spec: AlgebraSpec, g2: int, window: Window) -> list[Unknown]:
+class Frame(NamedTuple):
+    """The degree-independent part of the system on one window, built once per solve."""
+
+    pairs: list[tuple]  # (x, y, s*[x, y]) for x before y among the n_eq symbols, not both central
+    sources: list[BasisSymbol]  # the symbols and their pairwise bracket outputs, in basis order
+
+
+def window_frame(spec: AlgebraSpec, window: Window) -> Frame:
+    symbols = list(spec.basis_symbols(window.n_eq2))
+    pairs = [(x, y, bracket_symbols(spec, x, y)) for x, y in itertools.combinations(symbols, 2)
+             if x.twice is not None or y.twice is not None]  # central-central brackets vanish
+    sources = set(symbols)
+    for _, _, terms in pairs:
+        sources.update(sym for sym, _ in terms)
+    order = {name: i for i, name in enumerate(spec.family_map)}
+    return Frame(pairs, sorted(sources, key=lambda s: (order[s.family], s.twice or 0)))
+
+
+def build_unknowns(
+    spec: AlgebraSpec, g2: int, window: Window, frame: Optional[Frame] = None
+) -> list[Unknown]:
     """Degree-matched (source, target) pairs for the sources the equations reach:
     the n_eq symbols and their pairwise bracket outputs, in basis order."""
-    symbols = list(spec.basis_symbols(window.n_eq2))
-    sources = set(symbols)
-    for x, y in itertools.combinations(symbols, 2):
-        sources.update(sym for sym, _ in bracket_symbols(spec, x, y))
-    order = {name: i for i, name in enumerate(spec.family_map)}
-    unknowns: list[Unknown] = []
-    for src in sorted(sources, key=lambda s: (order[s.family], s.twice or 0)):
-        for tgt in _targets_for(spec, src, g2):
-            unknowns.append((src, tgt))
-    return unknowns
+    frame = frame or window_frame(spec, window)
+    return [(src, tgt) for src in frame.sources for tgt in _targets_for(spec, src, g2)]
 
 
 def assemble_system(
@@ -118,6 +130,7 @@ def assemble_system(
     g2: int,
     window: Window,
     delta: Fraction = Fraction(1, 2),
+    frame: Optional[Frame] = None,
 ) -> tuple[list[Unknown], list[linalg.SparseRow]]:
     """Unknown list plus sparse residual rows over those unknowns.
 
@@ -127,38 +140,38 @@ def assemble_system(
     Rows come in no particular order: their RREF, and so the kernel, is unique.
     """
     p, q = delta.numerator, delta.denominator
-    unknowns = build_unknowns(spec, g2, window)
+    frame = frame or window_frame(spec, window)
+    unknowns = build_unknowns(spec, g2, window, frame)
     # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
     image: dict[BasisSymbol, list[tuple[BasisSymbol, int]]] = {}
     for i, (src, tgt) in enumerate(unknowns):
         image.setdefault(src, []).append((tgt, i))
 
-    symbols = list(spec.basis_symbols(window.n_eq2))
+    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     rows: list[linalg.SparseRow] = []
-    for ix, x in enumerate(symbols):
-        for y in symbols[ix + 1 :]:
-            if x.twice is None and y.twice is None:
-                continue  # central-central rows vanish identically
-            # the residual's row at each output symbol: column -> coefficient
-            by_output: dict[BasisSymbol, linalg.SparseRow] = {}
-            for mid, value in bracket_symbols(spec, x, y):
-                # sources with no degree-matched targets have zero image
-                value *= q
-                for tgt, column in image.get(mid, ()):
-                    row = by_output.setdefault(tgt, {})
-                    row[column] = row.get(column, 0) + value
-            for left, other, sign in ((x, y, 1), (y, x, -1)):
-                # [phi(left), other]; sign restores [other, phi(left)] order
-                factor = -p * sign
-                for tgt, column in image.get(left, ()):  # centrals may be absent
-                    for sym, value in bracket_symbols(spec, tgt, other):
-                        row = by_output.setdefault(sym, {})
-                        row[column] = row.get(column, 0) + factor * value
-            for row in by_output.values():
-                if 0 in row.values():  # terms that cancelled
-                    row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    for x, y, terms in frame.pairs:
+        # the residual's row at each output symbol: column -> coefficient
+        by_output: dict[BasisSymbol, linalg.SparseRow] = {}
+        for mid, value in terms:
+            # sources with no degree-matched targets have zero image
+            value *= q
+            for tgt, column in image.get(mid, ()):
+                row = by_output.setdefault(tgt, {})
+                row[column] = row.get(column, 0) + value
+        for left, other, sign in ((x, y, 1), (y, x, -1)):
+            # [phi(left), other]; sign restores [other, phi(left)] order
+            factor = -p * sign
+            for tgt, column in image.get(left, ()):  # centrals may be absent
+                if (products := memo.get((tgt, other))) is None:
+                    products = bracket_symbols(spec, tgt, other)
+                for sym, value in products:
+                    row = by_output.setdefault(sym, {})
+                    row[column] = row.get(column, 0) + factor * value
+        for row in by_output.values():
+            if 0 in row.values():  # terms that cancelled
+                row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
     return unknowns, rows
 
 
@@ -299,8 +312,9 @@ def solve_degree(
     g2: int,
     window: Window,
     delta: Fraction = Fraction(1, 2),
+    frame: Optional[Frame] = None,
 ) -> DegreeResult:
-    unknowns, rows = assemble_system(spec, g2, window, delta)
+    unknowns, rows = assemble_system(spec, g2, window, delta, frame)
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     basis = _interior_basis(vectors, core_cols)
@@ -338,6 +352,7 @@ def solve_derivations(
     delta: Fraction = Fraction(1, 2),
 ) -> DerivationReport:
     report = DerivationReport(spec.name, dict(spec.params), window, delta)
+    frame = window_frame(spec, window)
     for g2 in sorted(set(degrees2)):
-        report.degrees.append(solve_degree(spec, g2, window, delta))
+        report.degrees.append(solve_degree(spec, g2, window, delta, frame))
     return report

@@ -213,6 +213,8 @@ def _lift(a: int) -> Optional[Fraction]:
 
 def _certified(vectors: list[SparseRow], rows: list[SparseRow]) -> bool:
     """Whether every vector, scaled to integers, has dot product 0 with every row, in int."""
+    if not vectors:
+        return True
     touching: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(vectors):
         for c, v in _as_ints(vec).items():

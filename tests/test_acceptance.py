@@ -121,8 +121,8 @@ def test_criterion_06_extension_triviality():
             failures.append((key, dims))
     assert not failures, (
         "expected a one-dimensional degree-0 space on each algebra; "
-        f"got {failures}. The extra generators are genuine center-valued "
-        "1/2-derivations (residual-verified); see tests/test_findings.py "
+        f"got {failures}. The extra generators are genuine 1/2-derivations, "
+        "center-valued or shift maps (residual-verified); see tests/test_findings.py "
         "and the README section \"Test suite and one known-red criterion\"."
     )
 

@@ -28,6 +28,7 @@ from lieverify.core import (
     jacobi_terms,
 )
 from lieverify.derivations import residual_terms
+from lieverify.poly import Poly
 
 from _oracle import axiom_oracle
 from test_core import _mutant_so_hat
@@ -142,6 +143,15 @@ def test_eval_rule_runs_once_per_pair_per_table(argv, tmp_path, monkeypatch):
     seen = spy_on_eval_rule(monkeypatch)
     assert cli.run([*argv, "--out", str(tmp_path / "report.json")]) == 0
     assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("argv", [
+    *PASSING_RUNS, ["solve-deriv", "builtin:so_hat", "--degrees", "-1..1", "--neq", "4", "--ncore", "2"]
+])
+def test_cold_runs_never_call_poly_evaluate(argv, tmp_path):
+    """Rules are compiled to integer monomials: a cold memo fills without `Poly.evaluate`."""
+    with mock.patch.object(Poly, "evaluate", side_effect=AssertionError("Poly.evaluate called")):
+        assert cli.run([*argv, "--out", str(tmp_path / "report.json")]) == 0
 
 
 @pytest.mark.parametrize("argv", PASSING_RUNS)

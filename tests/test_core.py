@@ -22,10 +22,20 @@ from lieverify import (
     jacobi_terms,
 )
 from lieverify.core import eval_rule, format_index2, format_symbol
+from lieverify.tpa import ProductSpec
 from lieverify.poly import M, N, ONE
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+polys = st.builds(Poly, st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), fractions,
+                                        max_size=3))
+# integral and off-lattice (half-integral) delta shifts
+deltas = st.none() | st.builds(DeltaCondition, st.builds(Fraction, st.integers(-4, 4),
+                                                         st.sampled_from([1, 2])))
+rule_terms = st.builds(BracketTerm, polys, st.sampled_from("ABC"), st.integers(-2, 2), deltas)
+_ABC = (Family("A", "integer"), Family("B", "half"), Family("C", "central"))
+_ABC_HALF = {"A": 0, "B": Fraction(1, 2)}  # displayed-index offset of each lattice
+_AB_PAIRS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
 
 
 class TestPoly:
@@ -137,7 +147,7 @@ class TestBracket:
         fams = (Family("A", "integer"), Family("B", "integer"))
         rule = BracketRule("A", "B", (BracketTerm(2 * M + N, "A"),))
         spec = AlgebraSpec("ab", fams, (rule,))
-        pairs = {frozenset(("A", "B")): rule}
+        pairs = spec._pair  # the compiled index; scale 1 here
         x, y = spec.symbol("A", 1), spec.symbol("B", 3)
         # left slot: m = 1, n = 3, so 2m + n = 5 at A(4)
         assert eval_rule(spec, pairs, x, y, antisymmetric) == {BasisSymbol("A", 8): 5}
@@ -145,6 +155,43 @@ class TestBracket:
         assert eval_rule(spec, pairs, y, x, antisymmetric) == {BasisSymbol("A", 8): 5 * sign}
         # a family pair with no rule in the index evaluates to zero
         assert eval_rule(spec, pairs, x, spec.symbol("A", 2), antisymmetric) == {}
+
+    @given(st.data())
+    def test_compiled_eval_rule_matches_poly_evaluate(self, data):
+        """`eval_rule` on the compiled index is scale * `Poly.evaluate` where
+        `DeltaCondition.fires`, for brackets and products, both orientations."""
+        rules = tuple(
+            BracketRule(left, right, tuple(data.draw(st.lists(rule_terms, min_size=1, max_size=3))))
+            for left, right in data.draw(st.lists(
+                st.sampled_from(_AB_PAIRS), min_size=1, max_size=3, unique_by=frozenset))
+        )
+        spec = AlgebraSpec("abc", _ABC, rules)
+        rule = data.draw(st.sampled_from(rules))
+        x = spec.symbol(rule.left, data.draw(st.integers(-3, 3)) + _ABC_HALF[rule.left])
+        y = spec.symbol(rule.right, data.draw(st.integers(-3, 3)) + _ABC_HALF[rule.right])
+        m, n = x.twice // 2, y.twice // 2
+        for owner, antisymmetric in ((spec, True), (ProductSpec(spec, rules), False)):
+            want: dict = {}
+            for term in rule.terms:
+                if term.delta is None or term.delta.fires(m, n):
+                    tf = spec.family(term.target)
+                    sym = BasisSymbol(term.target, None if tf.lattice == "central"
+                                      else 2 * (m + n + term.offset) + tf.parity)
+                    want[sym] = want.get(sym, 0) + owner.scale * term.coeff.evaluate(m, n)
+            want = {sym: v for sym, v in want.items() if v}
+            got = eval_rule(spec, owner._pair, x, y, antisymmetric)
+            assert got == want and all(type(v) is int for v in got.values())
+            if x.family != y.family:  # a one-family rule takes its arguments in the order given
+                sign = -1 if antisymmetric else 1
+                assert eval_rule(spec, owner._pair, y, x, antisymmetric) == {
+                    sym: sign * v for sym, v in want.items()}
+
+    def test_off_lattice_delta_terms_are_not_compiled(self):
+        rule = BracketRule("A", "B", (BracketTerm(M, "A", delta=DeltaCondition(Fraction(1, 2))),
+                                      BracketTerm(N, "A", delta=DeltaCondition(Fraction(-3)))))
+        spec = AlgebraSpec("ab", _ABC, (rule,))
+        # (monomials, m+n at which it fires, target, doubled index less 2(m+n))
+        assert spec._pair[frozenset("AB")][2] == ((((0, 1, 1),), 3, "A", 0),)
 
     def test_unknown_family_raises(self):
         spec = _witt()

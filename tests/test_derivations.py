@@ -10,8 +10,8 @@ import pytest
 from _oracle import oracle_bracket, oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
 from test_axioms import spy_on_eval_rule
-from lieverify import catalog, derivations, linalg
-from lieverify.core import BasisSymbol, Element, Window, bracket_symbols
+from lieverify import catalog, core, derivations, linalg
+from lieverify.core import BasisSymbol, Element, Window, bracket_symbols, check_jacobi
 from lieverify.derivations import (
     assemble_system,
     build_unknowns,
@@ -194,6 +194,26 @@ def test_eval_rule_runs_once_per_distinct_pair(monkeypatch):
     pairs = [(x, y) for _, x, y in seen]
     assert pairs and len(pairs) == len(set(pairs))
     assert set(pairs) == set(spec._cache)
+
+
+def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
+    """Assembly and Jacobi read every memoized bracket, a zero one too, straight from the memo."""
+    spec = catalog.builtin("so_hat")
+    window = Window.displayed(4, 1)
+    frame = derivations.window_frame(spec, window)
+    hits = []
+
+    def spy(owner, x, y):
+        hits.append((x, y) in owner._cache)
+        return bracket_symbols(owner, x, y)
+
+    monkeypatch.setattr(derivations, "bracket_symbols", spy)
+    monkeypatch.setattr(core, "bracket_symbols", spy)
+    for g2 in range(-2, 3):
+        assemble_system(spec, g2, window, F(1, 2), frame)
+    check_jacobi(spec, window)
+    assert hits and not any(hits)
+    assert () in spec._cache.values()
 
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):

@@ -1,8 +1,9 @@
 """Pins the verified non-trivial degree-0 spaces behind the red acceptance
 criterion (test_criterion_06_extension_triviality).
 
-Three of the four parameterized extensions carry genuine center-valued
-1/2-derivations beyond scalings of the identity.  Each map below is verified
+Three of the four parameterized extensions carry genuine 1/2-derivations
+beyond scalings of the identity: center-valued ones on Ltilde2 and Ltilde5,
+shift maps between families on Ltilde4.  Each map below is verified
 directly against the derivation identity on every basis pair in a window
 strictly larger than the solver's, so the extra dimensions are not solver or
 truncation artifacts.  The analysis is in the README section "Test suite
