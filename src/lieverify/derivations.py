@@ -12,12 +12,12 @@ matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
 boundary artifacts.  ``residual_terms`` re-checks every reported generator on
 every window pair, in integers.  Unknowns, assembly and re-check all read
-s*[x, y] from ``core.bracket_symbols``, the one bracket memo, which the
-axiom and TPA checks share; ``window_frame`` lists the window's pairs once per solve.
+s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom and TPA
+checks share and ``core.bracket_symbols`` fills; ``window_frame`` lists the
+window's pairs once per solve.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,27 +43,34 @@ Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
 
 
 def residual_terms(
-    table: Callable, phi: Callable, x: BasisSymbol, y: BasisSymbol, p: int, q: int
+    spec: AlgebraSpec, phi: Callable, x: BasisSymbol, y: BasisSymbol, p: int, q: int
 ) -> dict[BasisSymbol, Fraction | int]:
-    """q*phi([x,y]) - p*([phi(x),y] + [x,phi(y)]): q times the residual at delta = p/q.
+    """q*phi([x,y]) - p*([phi(x),y] + [x,phi(y)]): q*s times the residual at delta = p/q.
 
-    `table(a, b)` yields the (symbol, coefficient) terms of [a, b], or of a
-    fixed multiple of it, and `phi(s)` the terms of the image of s, or of a
-    fixed multiple of it.  Integer tables and images keep it all in `int`.
+    Brackets are s*[a, b] from the `bracket_symbols` memo, s = `spec.scale`,
+    and `phi(s)` yields the terms of the image of s, or of a fixed multiple
+    of it.  Integer images keep it all in `int`.
     """
     acc: dict[BasisSymbol, Fraction | int] = {}
     get = acc.get
-    for sym, coeff in table(x, y):
+    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
+    if (terms := memo.get((x, y))) is None:
+        terms = bracket_symbols(spec, x, y)
+    for sym, coeff in terms:
         coeff *= q
         for out, value in phi(sym):
             acc[out] = get(out, 0) + coeff * value
     for sym, coeff in phi(x):
         coeff *= p
-        for out, value in table(sym, y):
+        if (terms := memo.get((sym, y))) is None:
+            terms = bracket_symbols(spec, sym, y)
+        for out, value in terms:
             acc[out] = get(out, 0) - coeff * value
     for sym, coeff in phi(y):
         coeff *= p
-        for out, value in table(x, sym):
+        if (terms := memo.get((x, sym))) is None:
+            terms = bracket_symbols(spec, x, sym)
+        for out, value in terms:
             acc[out] = get(out, 0) - coeff * value
     return {out: value for out, value in acc.items() if value}
 
@@ -78,8 +85,7 @@ def derivation_residual(
     """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as an Element, from q*s times it."""
     image = phi if callable(phi) else lambda s: phi.get(s, {})
     q = delta.denominator
-    table = functools.partial(bracket_symbols, spec)
-    terms = residual_terms(table, lambda s: image(s).items(), x, y, delta.numerator, q)
+    terms = residual_terms(spec, lambda s: image(s).items(), x, y, delta.numerator, q)
     return Element(_over(terms, q * spec.scale))
 
 
@@ -323,7 +329,6 @@ def solve_degree(
     checked = True
     symbols = list(spec.basis_symbols(window.n_eq2))
     # the residual of lcm * phi on scale * [,], cleared by q: all in int
-    table = functools.partial(bracket_symbols, spec)
     p, q = delta.numerator, delta.denominator
     for full in basis:
         lcm = math.lcm(*(v.denominator for v in full.values()))
@@ -335,7 +340,7 @@ def solve_degree(
         checked &= window_check(
             "derivation",
             itertools.combinations(symbols, 2),
-            lambda x, y: residual_terms(table, phi, x, y, p, q),
+            lambda x, y: residual_terms(spec, phi, x, y, p, q),
             "generator is not a delta-derivation",
         ).passed
         interior = {

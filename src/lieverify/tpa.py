@@ -9,8 +9,10 @@ phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]) cleared of the denominator 2,
 so ``compatibility_terms`` is ``residual_terms`` at p/q = 1/2.
 
 ``product_symbols`` memoizes s_p*(x*y) as (symbol, ``int``) pairs, with s_p
-= ``prod.scale``, as ``bracket_symbols`` does s*[x, y].  The checks run in
-``int`` on both memos (associativity on s_p**2 times its residual,
+= ``prod.scale``, as ``bracket_symbols`` does s*[x, y], keyed by ordered pair:
+both orientations share one evaluation.  Compatibility reads z*(-) from one
+table per z, filled from it on first read.  The checks run in ``int`` on
+both memos (associativity on s_p**2 times its residual,
 compatibility on s*s_p times it); a ``Fraction`` is built only for a
 violation, or by ``product``, ``associativity_terms`` and
 ``compatibility_terms``, which divide back by their scale.
@@ -41,7 +43,6 @@ from .core import (
     _over,
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
-    bracket_symbols,
     eval_rule,
     index_rules,
     window_check,
@@ -64,7 +65,7 @@ class ProductSpec:
     rules: tuple[BracketRule, ...]
     _pair: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     scale: int = field(default=1, init=False, repr=False, compare=False)
-    # canonical (x, y) -> scale * (x*y) as (symbol, int) pairs, filled by product_symbols
+    # (x, y) and (y, x) -> one shared scale * (x*y) as (symbol, int) pairs, by product_symbols
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,13 +75,14 @@ class ProductSpec:
 def product_symbols(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol
 ) -> tuple[tuple[BasisSymbol, int], ...]:
-    """scale * (x*y) for basis symbols as (symbol, int) pairs, memoized in `prod._cache`."""
-    # canonical argument order keeps the product symmetric by construction
-    key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
-    terms = prod._cache.get(key)
+    """scale * (x*y) for basis symbols as (symbol, int) pairs, memoized in `prod._cache`
+    under (x, y) and (y, x): both orientations share one evaluation."""
+    terms = prod._cache.get((x, y))
     if terms is None:
+        # the canonical argument order keeps the product symmetric by construction
+        key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
         out = eval_rule(prod.algebra, prod._pair, *key, antisymmetric=False)
-        terms = prod._cache[key] = tuple(out.items())
+        terms = prod._cache[x, y] = prod._cache[y, x] = tuple(out.items())
     return terms
 
 
@@ -121,10 +123,11 @@ def theorem_product(
 
 
 def check_commutative(prod: ProductSpec, bound2: int) -> Report:
-    """Products are stored once per unordered pair, so x*y == y*x holds
-    by construction; the remaining content is that each rule evaluates
+    """Products are evaluated once per unordered pair, in canonical order,
+    and memoized under both orientations, so x*y == y*x holds by
+    construction; the remaining content is that each rule evaluates
     identically with its two arguments exchanged.  Only a one-family rule
-    can differ; the window lists its pairs in the memo's order, so the memo
+    can differ; the window lists its pairs in canonical order, so the memo
     gives x*y and only y*x is evaluated here."""
 
     def residual(x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, int]:
@@ -146,8 +149,19 @@ def _associativity_scaled(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, int]:
     """s_p**2 * ((x*y)*z - x*(y*z)) in `int`, reading x*s as s*x: products are symmetric."""
-    lhs = bilinear(product_symbols, prod, dict(product_symbols(prod, x, y)), z)
-    return axpy(lhs, bilinear(product_symbols, prod, dict(product_symbols(prod, y, z)), x), -1)
+    acc: dict[BasisSymbol, int] = {}
+    get = acc.get
+    memo = prod._cache  # read directly on a hit, a memoized () too: `product_symbols` fills it
+    for a, b, c, sign in ((x, y, z, 1), (y, z, x, -1)):
+        if (outer := memo.get((a, b))) is None:
+            outer = product_symbols(prod, a, b)
+        for sym, coeff in outer:
+            coeff *= sign
+            if (inner := memo.get((sym, c))) is None:
+                inner = product_symbols(prod, sym, c)
+            for out, value in inner:
+                acc[out] = get(out, 0) + coeff * value
+    return {out: value for out, value in acc.items() if value}
 
 
 def associativity_terms(
@@ -167,27 +181,35 @@ def check_associative(prod: ProductSpec, bound2: int) -> Report:
     )
 
 
-def _compatibility_scaled(
-    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
-) -> dict[BasisSymbol, int]:
-    """s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in `int`: the 1/2-derivation residual of z*(-)."""
-    table = functools.partial(bracket_symbols, prod.algebra)
-    return residual_terms(table, functools.partial(product_symbols, prod, z), x, y, 1, 2)
+class _LeftMultiple(dict):
+    """s_p * z*s for one z, keyed by s and filled from the product memo on first read."""
+
+    def __init__(self, prod: ProductSpec, z: BasisSymbol):
+        self.prod, self.z = prod, z
+
+    def __missing__(self, s: BasisSymbol) -> tuple[tuple[BasisSymbol, int], ...]:
+        if (terms := self.prod._cache.get((self.z, s))) is None:
+            terms = product_symbols(self.prod, self.z, s)
+        self[s] = terms
+        return terms
 
 
 def compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """2*z*[x,y] - [z*x, y] - [x, z*y] as a symbol->coefficient dict."""
-    return _over(_compatibility_scaled(prod, x, y, z), prod.algebra.scale * prod.scale)
+    terms = residual_terms(prod.algebra, _LeftMultiple(prod, z).__getitem__, x, y, 1, 2)
+    return _over(terms, prod.algebra.scale * prod.scale)
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     symbols = list(prod.algebra.basis_symbols(bound2))
+    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
+    left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        functools.partial(_compatibility_scaled, prod),
+        lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2),
         "compatibility broken",
         prod.algebra.scale * prod.scale,
     )

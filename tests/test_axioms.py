@@ -5,7 +5,6 @@ bracket memo; `axiom_oracle` writes each law out as `Element` sums of its own
 `Fraction` brackets.  Whole reports must agree: tuple counts, witnesses,
 residuals and their order.
 """
-import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -99,11 +98,10 @@ def test_skew_broken_triples_need_the_cyclic_sum():
     """
     spec = _broken()
     report = check_jacobi(spec, Window(12, 0))
-    table = functools.partial(bracket_symbols, spec)
     lost = {}
     for v in report.violations:
         x, y, z = v.witness
-        if not residual_terms(table, lambda s: bracket_symbols(spec, z, s), x, y, 1, 1):
+        if not residual_terms(spec, lambda s: bracket_symbols(spec, z, s), x, y, 1, 1):
             lost[v.witness] = v.residual
     c_n = BasisSymbol("C_N", None)
     assert lost == {

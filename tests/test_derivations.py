@@ -197,7 +197,8 @@ def test_eval_rule_runs_once_per_distinct_pair(monkeypatch):
 
 
 def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
-    """Assembly and Jacobi read every memoized bracket, a zero one too, straight from the memo."""
+    """Assembly, the re-check and Jacobi read every memoized bracket, a zero one too, straight
+    from the memo."""
     spec = catalog.builtin("so_hat")
     window = Window.displayed(4, 1)
     frame = derivations.window_frame(spec, window)
@@ -211,6 +212,7 @@ def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
     monkeypatch.setattr(core, "bracket_symbols", spy)
     for g2 in range(-2, 3):
         assemble_system(spec, g2, window, F(1, 2), frame)
+    assert solve_degree(spec, 0, window, F(1, 2), frame).interior_dim == 1  # re-checks one map
     check_jacobi(spec, window)
     assert hits and not any(hits)
     assert () in spec._cache.values()
@@ -229,9 +231,9 @@ def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
             spoil(basis)
         return basis
 
-    def kernel(table, phi, x, y, p, q):
+    def kernel(algebra, phi, x, y, p, q):
         assert all(type(v) is int for s in (x, y) for _, v in phi(s))
-        residuals.append(residual_terms(table, phi, x, y, p, q))
+        residuals.append(residual_terms(algebra, phi, x, y, p, q))
         return residuals[-1]
 
     monkeypatch.setattr(derivations, "_interior_basis", projected)

@@ -5,24 +5,38 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracle import associativity_oracle, check_left_mult, compatibility_oracle
-from lieverify import catalog
-from lieverify.core import BasisSymbol, BracketRule, BracketTerm, Element, StructureError
+from lieverify import catalog, core, derivations, tpa
+from lieverify.core import (
+    BasisSymbol,
+    BracketRule,
+    BracketTerm,
+    Element,
+    Report,
+    StructureError,
+    Violation,
+    bracket_symbols,
+)
 from lieverify.derivations import derivation_residual
 from lieverify.poly import Poly
 from lieverify.tpa import (
     ProductSpec,
     associativity_terms,
+    check_associative,
+    check_compatibility,
     check_tpa,
     compatibility_terms,
     parse_products,
     product,
+    product_symbols,
     render_products,
     theorem_product,
 )
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _compatibility(prod, x, y, z):
@@ -146,6 +160,82 @@ class TestChecks:
             lt1, (BracketRule("L", "L", (BracketTerm(Poly.var("n"), "M"),)),)
         )
         assert not check_tpa(bad, 4)[0].passed
+
+
+def _golden_product(name):
+    """A product from tests/golden on a freshly built so_hat: both memos start cold."""
+    return parse_products((GOLDEN / name).read_text(), catalog.builtin("so_hat"))
+
+
+def _cold_theorem_product():
+    lt1 = catalog.builtin("Ltilde1", {"lambda": F(1), "mu": F(1, 4)})
+    return theorem_product(lt1, {-1: F(3, 2), 2: F(1, 3)}, {0: F(-2, 5), 1: F(4)})
+
+
+@pytest.mark.parametrize("make", [_cold_theorem_product,
+                                  lambda: _golden_product("broken_product.liealg")])
+def test_tpa_checks_fill_the_memos_only_on_misses(make, monkeypatch):
+    """Associativity and compatibility read both memos directly: `bracket_symbols` and
+    `product_symbols` are entered only for pairs not yet memoized, and one product
+    evaluation fills both orientations of its pair."""
+    prod = make()
+    entered = []
+
+    def spy(fill):
+        def wrapper(owner, x, y):
+            entered.append((fill, frozenset((x, y)), (x, y) in owner._cache))
+            return fill(owner, x, y)
+        return wrapper
+
+    monkeypatch.setattr(core, "bracket_symbols", spy(bracket_symbols))
+    monkeypatch.setattr(derivations, "bracket_symbols", spy(bracket_symbols))
+    monkeypatch.setattr(tpa, "product_symbols", spy(product_symbols))
+    check_associative(prod, 4)
+    check_compatibility(prod, 4)
+    assert {fill for fill, _, _ in entered} == {bracket_symbols, product_symbols}
+    assert not any(hit for _, _, hit in entered)
+    products = [pair for fill, pair, _ in entered if fill is product_symbols]
+    assert len(products) == len(set(products))
+    assert all(prod._cache[y, x] is terms for (x, y), terms in prod._cache.items())
+    assert () in prod._cache.values() and () in prod.algebra._cache.values()
+
+
+def _oracle_report(check, message, tuples, oracle, prod):
+    """The report a check must give, from the oracle's residual of every tuple."""
+    tuples = list(tuples)
+    violations = [Violation(t, r, message) for t in tuples if (r := oracle(prod, *t))]
+    return Report(check, tuple(violations), len(tuples))
+
+
+def _assert_reports_match_oracle(prod, bound2):
+    symbols = list(prod.algebra.basis_symbols(bound2))
+    assert check_associative(prod, bound2) == _oracle_report(
+        "associativity", "associativity broken",
+        itertools.combinations_with_replacement(symbols, 3), associativity_oracle, prod)
+    assert check_compatibility(prod, bound2) == _oracle_report(
+        "compatibility", "compatibility broken",
+        ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
+        compatibility_oracle, prod)
+
+
+@pytest.mark.parametrize("neq", [2, 4])
+@pytest.mark.parametrize("name", ["broken_product.liealg", "broken_assoc.liealg"])
+def test_golden_product_reports_match_oracle(name, neq):
+    """Counts, witnesses, residuals and their order, against the oracle."""
+    _assert_reports_match_oracle(_golden_product(name), 2 * neq)
+
+
+supports = st.dictionaries(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+    min_size=2, max_size=2,
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(supports, supports)
+def test_theorem_product_reports_match_oracle(lt1, alpha, beta):
+    _assert_reports_match_oracle(theorem_product(lt1, alpha, beta), 4)
 
 
 class TestLeftMultiplication:
