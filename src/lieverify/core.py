@@ -12,6 +12,8 @@ denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
 ``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
 the one bracket memo of every check and of the solver.  A ``Fraction`` is built
 only to divide by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
+``reach`` and ``composes`` tell from the families alone whether two rules can
+compose to a nonzero term; ``family_live`` lets a check skip every other tuple.
 """
 from __future__ import annotations
 
@@ -462,15 +464,45 @@ def window_check(
     return Report(check, tuple(violations), count)
 
 
+def reach(pairs: Mapping) -> dict[str, dict[str, frozenset[str]]]:
+    """family -> partner family -> the target families of their rule in the compiled
+    index `pairs` (`_pair` of a spec).  A pair with no rule is absent; a rule whose
+    terms all were dropped by `_compiled` maps to the empty set."""
+    table: dict[str, dict[str, frozenset[str]]] = {}
+    for left, right, terms in pairs.values():
+        targets = frozenset(target for _, _, target, _ in terms)
+        table.setdefault(left, {})[right] = table.setdefault(right, {})[left] = targets
+    return table
+
+
+def composes(outer: Mapping, inner: Mapping, a: str, b: str, c: str) -> bool:
+    """Whether some target family F of the `outer` rule for (a, b) has an `inner` rule
+    with c (both `reach` tables).  If not, inner(outer(x, y), z) is zero for every x, y
+    and z of families a, b and c: `eval_rule` gives {} for a pair with no rule."""
+    return any(inner.get(f, {}).get(c) for f in outer.get(a, {}).get(b, ()))
+
+
+def family_live(kernel: Callable, families: Iterable[str], live: Callable) -> Callable:
+    """kernel(x, y, z), or {} without a call when live(a, b, c) is false for the
+    families a, b, c of x, y, z.  `live` is asked once per family triple."""
+    alive = {t for t in itertools.product(families, repeat=3) if live(*t)}
+    return lambda x, y, z: kernel(x, y, z) if (x.family, y.family, z.family) in alive else {}
+
+
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
 
-    Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.
+    Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.  A pair whose families
+    have no rule is zero in both orientations, so it is counted but not evaluated.
     """
+    table = reach(spec._pair)
+    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
+    read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
     return window_check(
         "skew",
         itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        lambda x, y: axpy(dict(bracket_symbols(spec, x, y)), dict(bracket_symbols(spec, y, x))),
+        lambda x, y: (axpy(dict(read(x, y)), dict(read(y, x)))
+                      if y.family in table.get(x.family, ()) else {}),
         "skew-symmetry broken",
         spec.scale,
     )
@@ -511,12 +543,20 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     """Jacobi residual over all basis triples within the window.
 
     Given bilinearity and antisymmetry, residuals with a repeated symbol
-    vanish identically, so distinct triples suffice.
+    vanish identically, so distinct triples suffice.  A triple is evaluated
+    only if, in one of its three cyclic terms, a target family of the outer
+    bracket has a rule with the third family (`composes`); in every other
+    triple each term is zero by construction.  `pairs_checked` counts both.
     """
+    table = reach(spec._pair)
     return window_check(
         "jacobi",
         itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        functools.partial(_jacobi_scaled, spec),
+        family_live(
+            functools.partial(_jacobi_scaled, spec),
+            spec.family_map,
+            lambda a, b, c: any(composes(table, table, *t) for t in ((a, b, c), (b, c, a), (c, a, b))),
+        ),
         "Jacobi identity broken",
         spec.scale ** 2,
     )
@@ -526,16 +566,23 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
     """Degree additivity: deg([x,y]) = deg(x) + deg(y) for every nonzero term.
 
     Central targets carry degree 0, so they require the source degrees to
-    sum to zero.
+    sum to zero.  A pair whose families have no rule has no term, so it is
+    counted but not read.
     """
     symbols = list(spec.basis_symbols(window.n_eq2, include_central=False))
+    table = reach(spec._pair)
+    memo = spec._cache  # read directly on a hit, as `check_skew` does
     violations = []
     count = 0
     for i, x in enumerate(symbols):
         for y in symbols[i:]:
             count += 1
+            if y.family not in table.get(x.family, ()):
+                continue
             want = spec.degree2(x) + spec.degree2(y)
-            for sym, value in bracket_symbols(spec, x, y):
+            if (terms := memo.get((x, y))) is None:
+                terms = bracket_symbols(spec, x, y)
+            for sym, value in terms:
                 if spec.degree2(sym) != want:
                     violations.append(
                         Violation(

@@ -43,8 +43,11 @@ from .core import (
     _over,
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
+    composes,
     eval_rule,
+    family_live,
     index_rules,
+    reach,
     window_check,
 )
 from .derivations import residual_terms
@@ -172,10 +175,19 @@ def associativity_terms(
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
+    """(x*y)*z - x*(y*z) on every window triple with repeats.  Only a triple where a
+    target family of x*y has a product rule with z's, or one of y*z with x's
+    (`composes`), is evaluated: both terms of any other are zero by construction.
+    `pairs_checked` counts every triple."""
+    table = reach(prod._pair)
     return window_check(
         "associativity",
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 3),
-        functools.partial(_associativity_scaled, prod),
+        family_live(
+            functools.partial(_associativity_scaled, prod),
+            prod.algebra.family_map,
+            lambda a, b, c: composes(table, table, a, b, c) or composes(table, table, b, c, a),
+        ),
         "associativity broken",
         prod.scale ** 2,
     )
@@ -203,13 +215,24 @@ def compatibility_terms(
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
+    """2*z*[x,y] - [z*x, y] - [x, z*y] for distinct x, y and every z in the window.  Only
+    a triple where a target family of [x,y] has a product rule with z's, or one of
+    z*x a bracket rule with y's, or one of z*y with x's (`composes`), is evaluated:
+    all three terms of any other are zero by construction.  `pairs_checked` counts
+    every triple."""
     symbols = list(prod.algebra.basis_symbols(bound2))
     # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
     left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
+    br, pr = reach(prod.algebra._pair), reach(prod._pair)
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2),
+        family_live(
+            lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2),
+            prod.algebra.family_map,
+            lambda a, b, c: (composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
+                             or composes(pr, br, c, b, a)),
+        ),
         "compatibility broken",
         prod.algebra.scale * prod.scale,
     )

@@ -11,7 +11,9 @@ from _oracle import oracle_bracket, oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
 from test_axioms import spy_on_eval_rule
 from lieverify import catalog, core, derivations, linalg
-from lieverify.core import BasisSymbol, Element, Window, bracket_symbols, check_jacobi
+from lieverify.core import (
+    BasisSymbol, Element, Window, bracket_symbols, check_grading, check_jacobi, check_skew,
+)
 from lieverify.derivations import (
     assemble_system,
     build_unknowns,
@@ -197,8 +199,8 @@ def test_eval_rule_runs_once_per_distinct_pair(monkeypatch):
 
 
 def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
-    """Assembly, the re-check and Jacobi read every memoized bracket, a zero one too, straight
-    from the memo."""
+    """Assembly, the re-check, skew, grading and Jacobi read every memoized bracket, a zero
+    one too, straight from the memo."""
     spec = catalog.builtin("so_hat")
     window = Window.displayed(4, 1)
     frame = derivations.window_frame(spec, window)
@@ -213,7 +215,8 @@ def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
     for g2 in range(-2, 3):
         assemble_system(spec, g2, window, F(1, 2), frame)
     assert solve_degree(spec, 0, window, F(1, 2), frame).interior_dim == 1  # re-checks one map
-    check_jacobi(spec, window)
+    for check in (check_skew, check_grading, check_jacobi):
+        check(spec, window)
     assert hits and not any(hits)
     assert () in spec._cache.values()
 

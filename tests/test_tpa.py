@@ -238,6 +238,45 @@ def test_theorem_product_reports_match_oracle(lt1, alpha, beta):
     _assert_reports_match_oracle(theorem_product(lt1, alpha, beta), 4)
 
 
+@pytest.mark.parametrize("rule", [
+    "product M(m) Y(n) = (1)*Y(m+n)",
+    "product M(m) Y(n) = (m+1)*L(m+n)",  # [x, z*y] alone composes on (M, Y, M)
+    "product M(m) M(n) = (n+m)*M(m+n) + (2)*delta(m+n)*C_L",
+])
+def test_a_rule_on_a_new_family_pair_matches_oracle(lt1, rule):
+    """The theorem product has no M*Y and no M*M rule; one added makes new family
+    triples live for associativity and compatibility, and both reports still
+    equal the oracle's, which evaluates every triple."""
+    prod = ProductSpec(lt1, _cold_theorem_product().rules + parse_products(rule, lt1).rules)
+    _assert_reports_match_oracle(prod, 8)
+    assert not all(r.passed for r in check_tpa(prod, 8))
+
+
+def test_tpa_checks_evaluate_only_family_live_triples(monkeypatch):
+    """On a theorem product at neq 4, 165 of 3 654 associativity triples and 1 260 of
+    9 477 compatibility triples can compose to a nonzero term on their families;
+    only those reach the residual kernels."""
+    seen = {"associativity": [], "compatibility": []}
+    assoc, residual = tpa._associativity_scaled, tpa.residual_terms
+
+    def assoc_spy(prod, x, y, z):
+        seen["associativity"].append((x, y, z))
+        return assoc(prod, x, y, z)
+
+    def residual_spy(spec, phi, x, y, p, q):
+        seen["compatibility"].append((x, y, phi))
+        return residual(spec, phi, x, y, p, q)
+
+    monkeypatch.setattr(tpa, "_associativity_scaled", assoc_spy)
+    monkeypatch.setattr(tpa, "residual_terms", residual_spy)
+    reports = check_tpa(_cold_theorem_product(), 8)
+    assert [(r.check, r.passed, r.pairs_checked) for r in reports] == [
+        ("commutativity", True, 378), ("associativity", True, 3654),
+        ("compatibility", True, 9477)]
+    assert {check: (len(t), len(set(t))) for check, t in seen.items()} == {
+        "associativity": (165, 165), "compatibility": (1260, 1260)}
+
+
 class TestLeftMultiplication:
     def test_values_match_theorem(self, lt1):
         prod = theorem_product(lt1, alpha={0: F(1)})
