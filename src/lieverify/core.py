@@ -12,12 +12,13 @@ denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
 ``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
 the one bracket memo of every check and of the solver.  A ``Fraction`` is built
 only to divide by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
-``reach`` and ``composes`` tell from the families alone whether two rules can
-compose to a nonzero term; ``family_live`` lets a check skip every other tuple.
+``composed`` sums terms ((a op b) op c) on one such memo: it is the kernel of
+Jacobi and of ``tpa``'s associativity.  ``reach`` and ``composes`` tell from the
+families alone whether two rules can compose to a nonzero term, and
+``composed_check`` skips every tuple where no term can.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -482,81 +483,90 @@ def composes(outer: Mapping, inner: Mapping, a: str, b: str, c: str) -> bool:
     return any(inner.get(f, {}).get(c) for f in outer.get(a, {}).get(b, ()))
 
 
-def family_live(kernel: Callable, families: Iterable[str], live: Callable) -> Callable:
-    """kernel(x, y, z), or {} without a call when live(a, b, c) is false for the
-    families a, b, c of x, y, z.  `live` is asked once per family triple."""
-    alive = {t for t in itertools.product(families, repeat=3) if live(*t)}
-    return lambda x, y, z: kernel(x, y, z) if (x.family, y.family, z.family) in alive else {}
+def composed(owner, fill: Callable, terms: Iterable[tuple]) -> dict[BasisSymbol, int]:
+    """The sum of sign * ((a op b) op c) over the terms (a, b, c, sign), in `int`.
 
-
-def check_skew(spec: AlgebraSpec, window: Window) -> Report:
-    """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
-
-    Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.  A pair whose families
-    have no rule is zero in both orientations, so it is counted but not evaluated.
-    """
-    table = reach(spec._pair)
-    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
-    read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
-    return window_check(
-        "skew",
-        itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        lambda x, y: (axpy(dict(read(x, y)), dict(read(y, x)))
-                      if y.family in table.get(x.family, ()) else {}),
-        "skew-symmetry broken",
-        spec.scale,
-    )
-
-
-def _jacobi_scaled(
-    spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
-) -> dict[BasisSymbol, int]:
-    """s**2 * J(x,y,z) in `int`: the cyclic sum on the `bracket_symbols` memo.
-
-    All three terms are formed as written, so no antisymmetry is assumed:
-    on a skew-broken bracket this is still J, not a multiple of it.
+    `owner._cache` memoizes s * (a op b) as (symbol, int) pairs: `bracket_symbols`
+    fills a spec's, `tpa.product_symbols` a product's.  It is read directly on a hit,
+    a memoized () too, and `fill(owner, a, b)` runs only on a miss.  The sum is s**2
+    times the true one.  Each term is formed as written: nothing of the op is assumed.
     """
     acc: dict[BasisSymbol, int] = {}
     get = acc.get
-    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+    memo = owner._cache
+    for a, b, c, sign in terms:
         if (outer := memo.get((a, b))) is None:
-            outer = bracket_symbols(spec, a, b)
+            outer = fill(owner, a, b)
         for sym, coeff in outer:
+            coeff *= sign
             if (inner := memo.get((sym, c))) is None:
-                inner = bracket_symbols(spec, sym, c)
+                inner = fill(owner, sym, c)
             for out, value in inner:
                 acc[out] = get(out, 0) + coeff * value
     return {out: value for out, value in acc.items() if value}
 
 
+def composed_check(owner, fill: Callable, terms: Callable) -> Callable:
+    """x, y, z -> `composed`(owner, fill, terms(x, y, z)), or {} without a call when no
+    term (a, b, c, sign) of terms on the families of x, y and z composes (`composes` on
+    `owner._pair`): each term of such a triple is zero by construction.  The same
+    `terms` feeds the kernel and, once per triple of families with a rule, the
+    liveness test; a family with no rule composes with nothing."""
+    table = reach(owner._pair)
+    alive = {f for f in itertools.product(table, repeat=3)
+             if any(composes(table, table, a, b, c) for a, b, c, _ in terms(*f))}
+    return lambda x, y, z: (composed(owner, fill, terms(x, y, z))
+                            if (x.family, y.family, z.family) in alive else {})
+
+
+def check_skew(spec: AlgebraSpec, window: Window) -> Report:
+    """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
+
+    Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.  Only a pair within one
+    family is evaluated: `eval_rule` reads both orders of a pair from two families
+    from their one rule and flips the sign, so it is antisymmetric by construction.
+    `pairs_checked` counts every pair.
+    """
+    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
+    read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
+    return window_check(
+        "skew",
+        itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
+        lambda x, y: axpy(dict(read(x, y)), dict(read(y, x))) if x.family == y.family else {},
+        "skew-symmetry broken",
+        spec.scale,
+    )
+
+
+def _jacobi_rotations(x, y, z) -> tuple:
+    """The terms [[x,y],z] + [[y,z],x] + [[z,x],y] of J(x,y,z) for `composed`."""
+    return (x, y, z, 1), (y, z, x, 1), (z, x, y, 1)
+
+
 def jacobi_terms(
     spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
-    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] as a symbol->coefficient dict."""
-    for sym in (x, y, z):
-        spec.family(sym.family)  # raise StructureError on unknown families
-    return _over(_jacobi_scaled(spec, x, y, z), spec.scale ** 2)
+    """J(x,y,z) = [[x,y],z] + [[y,z],x] + [[z,x],y] as a symbol->coefficient dict.
+
+    Each of x, y and z heads an outer bracket, so an unknown family raises
+    `StructureError` from `bracket_symbols`.
+    """
+    return _over(composed(spec, bracket_symbols, _jacobi_rotations(x, y, z)), spec.scale ** 2)
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     """Jacobi residual over all basis triples within the window.
 
     Given bilinearity and antisymmetry, residuals with a repeated symbol
-    vanish identically, so distinct triples suffice.  A triple is evaluated
-    only if, in one of its three cyclic terms, a target family of the outer
-    bracket has a rule with the third family (`composes`); in every other
-    triple each term is zero by construction.  `pairs_checked` counts both.
+    vanish identically, so distinct triples suffice.  All three cyclic terms
+    are formed as written: on a skew-broken bracket the sum is still J, not a
+    multiple of it.  Only a triple with a term whose families compose is
+    evaluated (`composed_check`); `pairs_checked` counts every triple.
     """
-    table = reach(spec._pair)
     return window_check(
         "jacobi",
         itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        family_live(
-            functools.partial(_jacobi_scaled, spec),
-            spec.family_map,
-            lambda a, b, c: any(composes(table, table, *t) for t in ((a, b, c), (b, c, a), (c, a, b))),
-        ),
+        composed_check(spec, bracket_symbols, _jacobi_rotations),
         "Jacobi identity broken",
         spec.scale ** 2,
     )

@@ -131,10 +131,6 @@ def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     return pivots
 
 
-def rank(rows: Iterable[SparseRow]) -> int:
-    return len(rref(rows))
-
-
 PRIME = (1 << 61) - 1  # the Mersenne prime the kernel is computed modulo
 _BOUND = math.isqrt(PRIME // 2)  # 2 * _BOUND**2 < PRIME: reconstruction is unique
 

@@ -25,7 +25,6 @@ family of products that the deformed algebras L1(lambda=1, mu) carry.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,9 +42,10 @@ from .core import (
     _over,
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
+    composed,
+    composed_check,
     composes,
     eval_rule,
-    family_live,
     index_rules,
     reach,
     window_check,
@@ -82,6 +82,8 @@ def product_symbols(
     under (x, y) and (y, x): both orientations share one evaluation."""
     terms = prod._cache.get((x, y))
     if terms is None:
+        prod.algebra.family(x.family)  # raise StructureError on unknown families
+        prod.algebra.family(y.family)
         # the canonical argument order keeps the product symmetric by construction
         key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
         out = eval_rule(prod.algebra, prod._pair, *key, antisymmetric=False)
@@ -148,46 +150,27 @@ def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     )
 
 
-def _associativity_scaled(
-    prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
-) -> dict[BasisSymbol, int]:
-    """s_p**2 * ((x*y)*z - x*(y*z)) in `int`, reading x*s as s*x: products are symmetric."""
-    acc: dict[BasisSymbol, int] = {}
-    get = acc.get
-    memo = prod._cache  # read directly on a hit, a memoized () too: `product_symbols` fills it
-    for a, b, c, sign in ((x, y, z, 1), (y, z, x, -1)):
-        if (outer := memo.get((a, b))) is None:
-            outer = product_symbols(prod, a, b)
-        for sym, coeff in outer:
-            coeff *= sign
-            if (inner := memo.get((sym, c))) is None:
-                inner = product_symbols(prod, sym, c)
-            for out, value in inner:
-                acc[out] = get(out, 0) + coeff * value
-    return {out: value for out, value in acc.items() if value}
+def _associator(x, y, z) -> tuple:
+    """The terms (x*y)*z - (y*z)*x of (x*y)*z - x*(y*z) for `composed`; x*(y*z) is
+    read as (y*z)*x, as products are symmetric."""
+    return (x, y, z, 1), (y, z, x, -1)
 
 
 def associativity_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """(x*y)*z - x*(y*z) as a symbol->coefficient dict."""
-    return _over(_associativity_scaled(prod, x, y, z), prod.scale ** 2)
+    return _over(composed(prod, product_symbols, _associator(x, y, z)), prod.scale ** 2)
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
-    """(x*y)*z - x*(y*z) on every window triple with repeats.  Only a triple where a
-    target family of x*y has a product rule with z's, or one of y*z with x's
-    (`composes`), is evaluated: both terms of any other are zero by construction.
+    """(x*y)*z - x*(y*z) on every window triple with repeats, on s_p**2 times it.  Only
+    a triple with a term whose families compose is evaluated (`composed_check`);
     `pairs_checked` counts every triple."""
-    table = reach(prod._pair)
     return window_check(
         "associativity",
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 3),
-        family_live(
-            functools.partial(_associativity_scaled, prod),
-            prod.algebra.family_map,
-            lambda a, b, c: composes(table, table, a, b, c) or composes(table, table, b, c, a),
-        ),
+        composed_check(prod, product_symbols, _associator),
         "associativity broken",
         prod.scale ** 2,
     )
@@ -224,15 +207,14 @@ def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
     left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
     br, pr = reach(prod.algebra._pair), reach(prod._pair)
+    alive = {(a, b, c) for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
+             if composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
+             or composes(pr, br, c, b, a)}
     return window_check(
         "compatibility",
         ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        family_live(
-            lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2),
-            prod.algebra.family_map,
-            lambda a, b, c: (composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
-                             or composes(pr, br, c, b, a)),
-        ),
+        lambda x, y, z: (residual_terms(prod.algebra, left[z], x, y, 1, 2)
+                         if (x.family, y.family, z.family) in alive else {}),
         "compatibility broken",
         prod.algebra.scale * prod.scale,
     )

@@ -5,6 +5,7 @@ bracket memo; `axiom_oracle` writes each law out as `Element` sums of its own
 `Fraction` brackets.  Whole reports must agree: tuple counts, witnesses,
 residuals and their order.
 """
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -103,20 +104,62 @@ def test_rules_on_new_family_pairs_match_oracle(text):
     assert _assert_reports_agree(lambda: dsl.parse_algebra(text, {}), 3)["jacobi"]
 
 
-def test_jacobi_evaluates_only_family_live_triples(monkeypatch):
+def composed_calls(run):
+    """run()'s result and the (x, y, z) of each `core.composed` call it made, in order."""
+    seen = []
+    kernel = core.composed
+
+    def spy(owner, fill, terms):
+        seen.append(terms[0][:3])  # the first term is (x, y, z, 1)
+        return kernel(owner, fill, terms)
+
+    with mock.patch.object(core, "composed", spy):
+        return run(), seen
+
+
+def test_jacobi_evaluates_only_family_live_triples():
     """On so_hat at neq 6, 12 155 of the 24 804 triples have a cyclic term whose outer
     bracket reaches a family with a rule for the third; only those reach the kernel."""
-    seen = []
-    kernel = core._jacobi_scaled
-
-    def spy(spec, x, y, z):
-        seen.append((x, y, z))
-        return kernel(spec, x, y, z)
-
-    monkeypatch.setattr(core, "_jacobi_scaled", spy)
-    report = check_jacobi(dsl.parse_algebra(SO_HAT, {}), Window(12, 0))
+    spec = dsl.parse_algebra(SO_HAT, {})
+    report, seen = composed_calls(lambda: check_jacobi(spec, Window(12, 0)))
     assert (report.passed, report.pairs_checked, len(seen), len(set(seen))) == (
         True, 24804, 12155, 12155)
+
+
+ALGEBRAS = [*catalog.REPRESENTATIVES, ("broken_so_hat", None)]
+
+
+def _algebra(name, params):
+    return _broken() if name == "broken_so_hat" else catalog.builtin(name, params)
+
+
+@pytest.mark.parametrize("name, params", ALGEBRAS)
+def test_pairs_from_two_families_are_antisymmetric_by_construction(name, params):
+    """`check_skew` evaluates only one-family pairs: `eval_rule` reads both orders of a
+    pair from two families from their one rule and flips the sign."""
+    spec = _algebra(name, params)
+    for x, y in itertools.combinations(spec.basis_symbols(16), 2):
+        if x.family != y.family:
+            negated = {s: -v for s, v in bracket_symbols(spec, x, y)}
+            assert dict(bracket_symbols(spec, y, x)) == negated, (x, y)
+
+
+def assert_skipped_terms_vanish(owner, fill, terms, run, triples):
+    """Each window triple that `run` (a check on `owner`) does not pass to `core.composed`
+    has every single term of terms(x, y, z) zero, by `composed` on that term alone."""
+    evaluated = set(composed_calls(run)[1])
+    for t in triples:
+        if t not in evaluated:
+            for term in terms(*t):
+                assert core.composed(owner, fill, (term,)) == {}, (t, term)
+
+
+@pytest.mark.parametrize("name, params", ALGEBRAS)
+def test_every_term_of_a_skipped_jacobi_triple_is_zero(name, params):
+    spec = _algebra(name, params)
+    assert_skipped_terms_vanish(
+        spec, bracket_symbols, core._jacobi_rotations, lambda: check_jacobi(spec, Window(12, 0)),
+        itertools.combinations(spec.basis_symbols(12), 3))
 
 
 def test_some_perturbation_breaks_jacobi_with_a_scale():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracle import associativity_oracle, check_left_mult, compatibility_oracle
+from test_axioms import assert_skipped_terms_vanish, composed_calls
 from lieverify import catalog, core, derivations, tpa
 from lieverify.core import (
     BasisSymbol,
@@ -17,7 +18,9 @@ from lieverify.core import (
     Report,
     StructureError,
     Violation,
+    bracket,
     bracket_symbols,
+    jacobi_terms,
 )
 from lieverify.derivations import derivation_residual
 from lieverify.poly import Poly
@@ -256,25 +259,50 @@ def test_tpa_checks_evaluate_only_family_live_triples(monkeypatch):
     """On a theorem product at neq 4, 165 of 3 654 associativity triples and 1 260 of
     9 477 compatibility triples can compose to a nonzero term on their families;
     only those reach the residual kernels."""
-    seen = {"associativity": [], "compatibility": []}
-    assoc, residual = tpa._associativity_scaled, tpa.residual_terms
-
-    def assoc_spy(prod, x, y, z):
-        seen["associativity"].append((x, y, z))
-        return assoc(prod, x, y, z)
+    seen = {"compatibility": []}
+    residual = tpa.residual_terms
 
     def residual_spy(spec, phi, x, y, p, q):
         seen["compatibility"].append((x, y, phi))
         return residual(spec, phi, x, y, p, q)
 
-    monkeypatch.setattr(tpa, "_associativity_scaled", assoc_spy)
     monkeypatch.setattr(tpa, "residual_terms", residual_spy)
-    reports = check_tpa(_cold_theorem_product(), 8)
+    reports, seen["associativity"] = composed_calls(lambda: check_tpa(_cold_theorem_product(), 8))
     assert [(r.check, r.passed, r.pairs_checked) for r in reports] == [
         ("commutativity", True, 378), ("associativity", True, 3654),
         ("compatibility", True, 9477)]
     assert {check: (len(t), len(set(t))) for check, t in seen.items()} == {
         "associativity": (165, 165), "compatibility": (1260, 1260)}
+
+
+@pytest.mark.parametrize("make", [
+    _cold_theorem_product,
+    lambda: _golden_product("broken_product.liealg"),
+    lambda: _golden_product("broken_assoc.liealg"),
+], ids=["theorem", "broken_product", "broken_assoc"])
+def test_every_term_of_a_skipped_associativity_triple_is_zero(make):
+    prod = make()
+    assert_skipped_terms_vanish(
+        prod, product_symbols, tpa._associator, lambda: check_associative(prod, 8),
+        itertools.combinations_with_replacement(prod.algebra.basis_symbols(8), 3))
+
+
+def test_products_of_unknown_symbols_raise():
+    """A symbol outside the algebra raises in every product and residual, also with
+    warm memos, as it does in `bracket`."""
+    prod = _cold_theorem_product()
+    check_tpa(prod, 8)
+    q, x = BasisSymbol("Q", 0), prod.algebra.symbol("L", 1)
+    for a, b in ((q, x), (x, q)):
+        for op in (product, lambda p, a, b: bracket(p.algebra, a, b)):
+            with pytest.raises(StructureError):
+                op(prod, a, b)
+    for triple in ((q, x, x), (x, q, x), (x, x, q)):
+        for terms in (associativity_terms, compatibility_terms,
+                      lambda p, *t: jacobi_terms(p.algebra, *t)):
+            with pytest.raises(StructureError):
+                terms(prod, *triple)
+    assert not any(q in pair for pair in prod._cache)
 
 
 class TestLeftMultiplication:
