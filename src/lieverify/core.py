@@ -523,16 +523,19 @@ def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
 
     Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.  Only a pair within one
-    family is evaluated: `eval_rule` reads both orders of a pair from two families
-    from their one rule and flips the sign, so it is antisymmetric by construction.
+    family that has a rule with itself is evaluated: `eval_rule` reads both orders
+    of a pair from two families from their one rule and flips the sign, so it is
+    antisymmetric by construction, and a pair with no rule gives {}.
     `pairs_checked` counts every pair.
     """
+    ruled = {f for f, partners in reach(spec._pair).items() if f in partners}
     memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
     return window_check(
         "skew",
         itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        lambda x, y: axpy(dict(read(x, y)), dict(read(y, x))) if x.family == y.family else {},
+        lambda x, y: axpy(dict(read(x, y)), dict(read(y, x)))
+        if x.family == y.family and x.family in ruled else {},
         "skew-symmetry broken",
         spec.scale,
     )

@@ -19,7 +19,6 @@ window's pairs once per solve.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -328,14 +327,13 @@ def solve_degree(
     generators = []
     checked = True
     symbols = list(spec.basis_symbols(window.n_eq2))
-    # the residual of lcm * phi on scale * [,], cleared by q: all in int
+    # the residual of phi scaled to integers on scale * [,], cleared by q: all in int
     p, q = delta.numerator, delta.denominator
     for full in basis:
-        lcm = math.lcm(*(v.denominator for v in full.values()))
         images: dict[BasisSymbol, dict[BasisSymbol, int]] = {}
-        for c, v in full.items():
+        for c, v in linalg._as_ints(full).items():
             src, tgt = unknowns[c]
-            images.setdefault(src, {})[tgt] = v.numerator * (lcm // v.denominator)
+            images.setdefault(src, {})[tgt] = v
         phi = lambda s: images.get(s, {}).items()
         checked &= window_check(
             "derivation",

@@ -1,21 +1,23 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts key -> Fraction (or int) with no zero entries.  `axpy` is
-the one accumulation kernel every module uses; `rref` is incremental reduced
-row echelon form on sparse rows (dict column -> int or Fraction) with
-deterministic lowest-column pivoting.  `sparse_nullspace` returns the kernel
-basis `rref` determines, but computes it modulo the prime 2**61 - 1 and
-certifies it over the integers (in the style of Dixon, Numer. Math. 1982):
+the one accumulation kernel every module uses.  `_eliminate` is the one
+elimination routine: incremental reduced row echelon form on sparse rows
+(dict column -> entry) with deterministic lowest-column pivoting, over a
+`_Field`.  A field supplies how a live row becomes field entries, its axpy,
+how a row is scaled to a leading 1 given its lead, and its 1.  `rref` runs
+it over `_Q`, the rationals.  `sparse_nullspace` runs it over `_GF`, the
+integers mod the prime 2**61 - 1, on rows scaled to integers, and certifies
+the kernel over the integers (in the style of Dixon, Numer. Math. 1982):
 each kernel entry is lifted to a rational by rational reconstruction, and
 every lifted vector, scaled to integers, must have dot product exactly 0
 with every input row.  When a lift or the certificate fails it reads the
 kernel off the exact `rref` instead, with one fixed prime and no retry.
 Both always return Fraction entries; nothing is approximate.
 
-Before any elimination, `rref` and the modular route peel the columns that
-singleton rows force to zero, by propagation over the row supports alone
-(the singleton step of structured Gaussian elimination, LaMacchia &
-Odlyzko, CRYPTO '90).
+Before any elimination, `_eliminate` peels the columns that singleton rows
+force to zero, by propagation over the row supports alone (the singleton
+step of structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
 A row with one nonzero entry at column c forces x_c = 0, so the unit row
 e_c lies in the row space; striking c from every other row may leave a new
 singleton.  Since rows have no zero entries, the row space is spanned by
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
 K = TypeVar("K")
 SparseRow = dict[int, Fraction]
@@ -52,21 +54,6 @@ def axpy(
         else:
             acc.pop(key, None)
     return acc
-
-
-def reduce_row(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
-    """Reduce one row against the current pivot rows; result has no pivot cols.
-
-    Pivot rows are fully reduced (they contain no other pivot columns), so
-    eliminating each pivot column present in the row once is enough: the
-    elimination can only introduce non-pivot columns.
-    """
-    row = dict(row)
-    for col in sorted(c for c in row if c in pivots):
-        factor = row.get(col)
-        if factor:
-            axpy(row, pivots[col], -factor)
-    return row
 
 
 def _forced_zero(rows: list[SparseRow]) -> set[int]:
@@ -97,40 +84,6 @@ def _forced_zero(rows: list[SparseRow]) -> set[int]:
     return dead
 
 
-def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Reduced row echelon form of the row space, as pivot column -> row.
-
-    Rows hold int or Fraction entries, none zero; the returned rows hold
-    Fractions.  Columns forced to zero by singleton rows (`_forced_zero`)
-    become unit pivot rows {c: 1} without any rational arithmetic; only the
-    live parts of the remaining rows are eliminated.
-    RREF is unique, so the result equals elimination over the full rows.
-    """
-    rows = list(rows)
-    dead = _forced_zero(rows)
-    pivots: dict[int, SparseRow] = {}
-    for raw in rows:
-        if dead:
-            raw = {c: v for c, v in raw.items() if c not in dead}
-            if not raw:
-                continue
-        row = reduce_row(raw, pivots)
-        if not row:
-            continue
-        col = min(row)
-        lead = Fraction(row[col])  # int / int would be a float
-        row = {c: v / lead for c, v in row.items()}
-        # keep the basis reduced: clear the new pivot column everywhere
-        for prow in pivots.values():
-            f = prow.get(col)
-            if f is not None:
-                axpy(prow, row, -f)
-        pivots[col] = row
-    for col in dead:
-        pivots[col] = {col: Fraction(1)}
-    return pivots
-
-
 PRIME = (1 << 61) - 1  # the Mersenne prime the kernel is computed modulo
 _BOUND = math.isqrt(PRIME // 2)  # 2 * _BOUND**2 < PRIME: reconstruction is unique
 
@@ -156,36 +109,67 @@ def _axpy_mod(acc: dict[int, int], vec: Mapping[int, int], factor: int) -> None:
             acc.pop(key, None)
 
 
-def _rref_mod_p(rows: list[SparseRow], dead: set[int]) -> dict[int, dict[int, int]]:
-    """`rref` of the rows mod PRIME, after the same peel: pivot column -> row.
+def _normalized_mod(row: dict[int, int], lead: int) -> dict[int, int]:
+    inverse = pow(lead, -1, PRIME)
+    return {c: v * inverse % PRIME for c, v in row.items()}
 
-    Each live part is scaled to integers before it is reduced, so no
-    denominator needs an inverse mod PRIME.  Entries lie in [1, PRIME).
+
+class _Field(NamedTuple):
+    """What `_eliminate` and `_kernel_basis` need of a field."""
+    entries: Callable  # a live row -> a fresh dict of its nonzero entries in the field
+    axpy: Callable  # acc += factor * vec in place, dropping entries that become 0
+    normalized: Callable  # a row and its lead -> the row scaled to a leading 1
+    one: object
+
+
+_Q = _Field(dict, axpy, lambda row, lead: {c: Fraction(v, lead) for c, v in row.items()},
+            Fraction(1))
+_GF = _Field(  # rows scaled to integers, so no denominator needs an inverse; entries in [1, PRIME)
+    lambda row: {c: r for c, v in _as_ints(row).items() if (r := v % PRIME)},
+    _axpy_mod, _normalized_mod, 1)
+
+
+def _eliminate(rows: list[SparseRow], field: _Field) -> dict[int, dict]:
+    """Reduced row echelon form of the rows over `field`, as pivot column -> row.
+
+    Columns forced to zero by singleton rows (`_forced_zero`) become unit pivot
+    rows {c: field.one} without any arithmetic; only the live parts of the
+    remaining rows are eliminated.  Pivot rows are fully reduced (they contain
+    no other pivot column), so clearing each pivot column of a row once is
+    enough: that can only introduce non-pivot columns.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    entries, add, normalized, one = field
+    dead = _forced_zero(rows)
+    pivots: dict[int, dict] = {}
     for raw in rows:
         if dead:
             if dead.issuperset(raw):
                 continue
             raw = {c: v for c, v in raw.items() if c not in dead}
-        row = {c: r for c, v in _as_ints(raw).items() if (r := v % PRIME)}
+        row = entries(raw)
         for col in sorted(c for c in row if c in pivots):
             factor = row.get(col)
             if factor:
-                _axpy_mod(row, pivots[col], -factor)
+                add(row, pivots[col], -factor)
         if not row:
             continue
         col = min(row)
-        inverse = pow(row[col], -1, PRIME)
-        row = {c: v * inverse % PRIME for c, v in row.items()}
+        row = normalized(row, row[col])
+        # keep the basis reduced: clear the new pivot column everywhere
         for prow in pivots.values():
             factor = prow.get(col)
             if factor is not None:
-                _axpy_mod(prow, row, -factor)
+                add(prow, row, -factor)
         pivots[col] = row
     for col in dead:
-        pivots[col] = {col: 1}
+        pivots[col] = {col: one}
     return pivots
+
+
+def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """`_eliminate` over Q: rows hold int or Fraction entries, none zero; the
+    returned rows hold Fractions."""
+    return _eliminate(list(rows), _Q)
 
 
 def _lift(a: int) -> Optional[Fraction]:
@@ -227,9 +211,9 @@ def _certified(vectors: list[SparseRow], rows: list[SparseRow]) -> bool:
     return True
 
 
-def _kernel_basis(pivots: Mapping[int, Mapping[int, K]], ncols: int, one: K) -> list[dict[int, K]]:
-    """One vector per free column f < ncols: `one` at f, -prow[f] at each pivot column."""
-    basis = {f: {f: one} for f in range(ncols) if f not in pivots}
+def _kernel_basis(pivots: Mapping[int, Mapping], ncols: int, field: _Field) -> list[dict]:
+    """One vector per free column f < ncols: `field.one` at f, -prow[f] at each pivot column."""
+    basis = {f: {f: field.one} for f in range(ncols) if f not in pivots}
     for pcol, prow in pivots.items():
         for c, v in prow.items():
             vec = basis.get(c)
@@ -244,8 +228,8 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     Deterministic: the basis is the one `rref` gives (lowest-column pivoting),
     in free-column order with unit free coordinate, and columns are < ncols.
 
-    It is computed mod PRIME and certified over Z: `_rref_mod_p` reduces the
-    peeled rows mod PRIME, each read-off entry is lifted to a rational by
+    It is computed mod PRIME and certified over Z: `_eliminate` reduces the
+    peeled rows over `_GF`, each read-off entry is lifted to a rational by
     `_lift`, and every lifted vector, scaled to integers, must have dot
     product exactly 0 with every input row.  If a lift or the certificate
     fails, the kernel is read off the exact `rref` instead.  The certified
@@ -266,9 +250,8 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
       vector the exact route reads off.
     """
     rows = list(rows)
-    pivots = _rref_mod_p(rows, _forced_zero(rows))
     vectors = []
-    for vec in _kernel_basis(pivots, ncols, 1):
+    for vec in _kernel_basis(_eliminate(rows, _GF), ncols, _GF):
         lifted = {c: _lift(v % PRIME) for c, v in vec.items()}
         if None in lifted.values():
             break
@@ -276,4 +259,4 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     else:
         if _certified(vectors, rows):
             return vectors
-    return _kernel_basis(rref(rows), ncols, Fraction(1))
+    return _kernel_basis(rref(rows), ncols, _Q)

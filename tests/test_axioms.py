@@ -144,6 +144,17 @@ def test_pairs_from_two_families_are_antisymmetric_by_construction(name, params)
             assert dict(bracket_symbols(spec, y, x)) == negated, (x, y)
 
 
+def test_skew_reads_only_families_with_a_rule_with_themselves():
+    """On so_hat at neq 6, M has no rule with M and no central symbol has any rule:
+    `check_skew` memoizes none of their pairs, and its report equals the oracle's,
+    which evaluates every pair."""
+    spec = catalog.builtin("so_hat")
+    report = check_skew(spec, Window(12, 0))
+    found = [(v.witness, v.residual) for v in report.violations]
+    assert (report.pairs_checked, found) == axiom_oracle(catalog.builtin("so_hat"), 12)["skew"]
+    assert {(x.family, y.family) for x, y in spec._cache} == {("L", "L"), ("N", "N"), ("Y", "Y")}
+
+
 def assert_skipped_terms_vanish(owner, fill, terms, run, triples):
     """Each window triple that `run` (a check on `owner`) does not pass to `core.composed`
     has every single term of terms(x, y, z) zero, by `composed` on that term alone."""

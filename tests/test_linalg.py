@@ -235,3 +235,24 @@ def test_fraction_rows_take_the_modular_route(rows):
     exact.assert_not_called()
     assert _kernel_rows(kernel, 4) == dense_nullspace(_dense_rows(rows, 4), 4)
     assert all(type(v) is Fraction for vec in kernel for v in vec.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-30, 30).filter(bool), min_size=1, max_size=6),
+    max_size=8,
+))
+@example([{0: 2}, {0: 3, 1: -1}, {1: 5, 2: 7}, {2: 30, 3: -30, 4: 1}, {3: 2, 5: -1}])
+@example([{0: 30, 1: -29, 2: 7}, {1: 3, 2: 5}, {0: 30, 1: -26, 2: 12}])
+def test_both_fields_give_the_same_rref(rows):
+    """Integer entries of at most 30 on 6 columns keep every minor below
+    30**6 * 6**3 < PRIME (Hadamard), so a minor is nonzero mod PRIME exactly
+    when it is over Q.  `_eliminate` over `_GF` then finds the pivot columns
+    `rref` finds, and every exact entry, the dead columns' unit rows too,
+    reduces mod PRIME to the modular one."""
+    exact = linalg.rref(rows)
+    modular = linalg._eliminate(rows, linalg._GF)
+    assert sorted(exact) == sorted(modular)
+    reduced = {col: {c: v.numerator * pow(v.denominator, -1, P) % P for c, v in prow.items()}
+               for col, prow in exact.items()}
+    assert reduced == modular
