@@ -11,11 +11,12 @@ A spec compiles its rules times its ``scale`` s, the lcm of their coefficients'
 denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
 ``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
 the one bracket memo of every check and of the solver.  A ``Fraction`` is built
-only to divide by s: ``window_check`` for a violation, ``bracket``, ``jacobi_terms``.
+only to divide by s: ``live_check`` for a violation, ``bracket``, ``jacobi_terms``.
 ``composed`` sums terms ((a op b) op c) on one such memo: it is the kernel of
 Jacobi and of ``tpa``'s associativity.  ``reach`` and ``composes`` tell from the
-families alone whether two rules can compose to a nonzero term, and
-``composed_check`` skips every tuple where no term can.
+families alone whether two rules can compose to a nonzero term; the checks form only
+the tuples and terms that can (``live_window``, ``composed_plans``) and count the
+rest in closed form.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import axpy
 from .poly import Poly
@@ -159,9 +160,6 @@ class DeltaCondition:
     """
 
     shift: Fraction
-
-    def fires(self, m: int, n: int) -> bool:
-        return m + n + self.shift == 0
 
 
 @dataclass(frozen=True)
@@ -336,14 +334,6 @@ class AlgebraSpec:
         assert sym.twice is not None
         return sym.twice + fam.shift2
 
-    def rule_var(self, sym: BasisSymbol) -> int:
-        """The integer value of the rule variable (m or n) for this symbol."""
-        fam = self.family(sym.family)
-        if fam.lattice == CENTRAL:
-            raise StructureError(f"central symbol {sym.family} carries no index")
-        assert sym.twice is not None
-        return sym.twice // 2  # on the half lattice twice is odd: twice // 2 == (twice - 1) // 2
-
     def symbol(self, family: str, displayed: Fraction | int | None = None) -> BasisSymbol:
         fam = self.family(family)
         if fam.lattice == CENTRAL:
@@ -375,7 +365,7 @@ class AlgebraSpec:
 
 
 def eval_rule(
-    spec: AlgebraSpec, pairs: Mapping, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
+    pairs: Mapping, x: BasisSymbol, y: BasisSymbol, antisymmetric: bool
 ) -> dict[BasisSymbol, int]:
     """Evaluate at (x, y) the rule for their families as a symbol->int dict.
 
@@ -392,8 +382,9 @@ def eval_rule(
         sign, a, b = 1, x, y
     else:
         sign, a, b = (-1 if antisymmetric else 1), y, x
-    mv = spec.rule_var(a)
-    nv = spec.rule_var(b)
+    # the rule variables m and n: no rule has a central family, and on the half
+    # lattice twice is odd, so twice // 2 == (twice - 1) // 2
+    mv, nv = a.twice // 2, b.twice // 2
     out: dict[BasisSymbol, int] = {}
     for monomials, fires_at, target, base in terms:
         if fires_at is not None and fires_at != mv + nv:
@@ -413,7 +404,7 @@ def bracket_symbols(
     if terms is None:
         spec.family(x.family)  # raise StructureError on unknown families
         spec.family(y.family)
-        out = eval_rule(spec, spec._pair, x, y, antisymmetric=True)
+        out = eval_rule(spec._pair, x, y, antisymmetric=True)
         terms = spec._cache[key] = tuple(out.items())
     return terms
 
@@ -443,26 +434,54 @@ def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbo
     return Element(_over(bilinear(bracket_symbols, spec, x, y), spec.scale))
 
 
-def window_check(
-    check: str,
-    tuples: Iterable[tuple[BasisSymbol, ...]],
-    residual: Callable[..., Mapping[BasisSymbol, Fraction | int]],
-    message: str,
-    divisor: int = 1,
-) -> Report:
-    """Count `tuples` and record a violation for each nonzero residual(*t).
-
-    A residual that is `divisor` times the true one (an `int` kernel on the
-    scaled memos) is divided back only when it is nonzero.
-    """
+def live_check(check: str, count: int, found: Iterable, message: str, divisor: int = 1) -> Report:
+    """The report on `count` window tuples, of which only the (t, residual) of `found` are
+    evaluated (the rest are zero by construction): a violation for each nonzero
+    residual(*t), which is `divisor` times the true one and divided back only then."""
     violations = []
-    count = 0
-    for t in tuples:
-        count += 1
-        r = residual(*t)
-        if r:
+    for t, residual in found:
+        if r := residual(*t):
             violations.append(Violation(t, Element(_over(r, divisor)), message))
     return Report(check, tuple(violations), count)
+
+
+def window_check(check: str, tuples: Iterable, residual: Callable, message: str) -> Report:
+    """Count `tuples` and record a violation for each nonzero residual(*t), all evaluated."""
+    violations, count = [], 0
+    for count, t in enumerate(tuples, 1):
+        if r := residual(*t):
+            violations.append(Violation(t, Element(_over(r, 1)), message))
+    return Report(check, tuple(violations), count)
+
+
+def live_window(symbols: Sequence[BasisSymbol], live: Mapping, after: tuple) -> Iterator[tuple]:
+    """(t, live[f]) for each window tuple t whose family tuple f is a key of `live`, in
+    itertools' order: lexicographic in the positions in `symbols`.  t[k] starts after[k]
+    places past t[k-1], or at the first symbol where after[k] is None: (None, 1, 1) gives
+    `combinations`' triples.  `symbols` holds each family in one block, as `basis_symbols`
+    lists them, so a family prefix that no key extends is passed over a block at a time."""
+    blocks: dict[str, list[int]] = {}  # family -> [start, stop) in symbols
+    for i, sym in enumerate(symbols):
+        blocks.setdefault(sym.family, [i, i])[1] = i + 1
+    heads = {(), *(f[:k] for f in live for k in range(1, len(after)))}  # proper prefixes
+    # head -> (key, start, stop) for each block that extends it to a head or a live key
+    nexts = {h: [(h + (f,), *span) for f, span in blocks.items()
+                 if h + (f,) in heads or h + (f,) in live] for h in heads}
+    return _walk(symbols, live, after, nexts, (), (), 0)
+
+
+def _walk(symbols, live, after, nexts, fams: tuple, t: tuple, prev: int) -> Iterator[tuple]:
+    """`live_window`'s tuples that extend t, of families fams, t[-1] at `prev`.  Not a closure:
+    one that calls itself is a reference cycle, keeping `live` and a spec's memo alive."""
+    first = 0 if after[len(t)] is None else prev + after[len(t)]
+    for key, start, stop in nexts[fams]:
+        if key in live:
+            value = live[key]
+            for sym in symbols[max(start, first):stop]:
+                yield t + (sym,), value
+        else:
+            for i in range(max(start, first), stop):
+                yield from _walk(symbols, live, after, nexts, key, t + (symbols[i],), i)
 
 
 def reach(pairs: Mapping) -> dict[str, dict[str, frozenset[str]]]:
@@ -506,39 +525,39 @@ def composed(owner, fill: Callable, terms: Iterable[tuple]) -> dict[BasisSymbol,
     return {out: value for out, value in acc.items() if value}
 
 
-def composed_check(owner, fill: Callable, terms: Callable) -> Callable:
-    """x, y, z -> `composed`(owner, fill, terms(x, y, z)), or {} without a call when no
-    term (a, b, c, sign) of terms on the families of x, y and z composes (`composes` on
-    `owner._pair`): each term of such a triple is zero by construction.  The same
-    `terms` feeds the kernel and, once per triple of families with a rule, the
-    liveness test; a family with no rule composes with nothing."""
+def composed_plans(owner, fill: Callable, terms: Callable) -> dict:
+    """family triple -> residual x, y, z -> `composed`(owner, fill, the terms (a, b, c, sign)
+    of terms(x, y, z) whose families compose on `owner._pair`), for each family triple
+    where one does; every term left out is zero by construction.  `terms` only places its
+    arguments, so terms on the families tells which terms compose."""
     table = reach(owner._pair)
-    alive = {f for f in itertools.product(table, repeat=3)
-             if any(composes(table, table, a, b, c) for a, b, c, _ in terms(*f))}
-    return lambda x, y, z: (composed(owner, fill, terms(x, y, z))
-                            if (x.family, y.family, z.family) in alive else {})
+    plans = {}
+    for f in itertools.product(table, repeat=3):
+        keep = tuple(composes(table, table, a, b, c) for a, b, c, _ in terms(*f))
+        if all(keep):
+            plans[f] = lambda x, y, z: composed(owner, fill, terms(x, y, z))
+        elif any(keep):
+            plans[f] = lambda x, y, z, keep=keep: composed(
+                owner, fill, tuple(itertools.compress(terms(x, y, z), keep)))
+    return plans
 
 
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     """Verify [x,y] + [y,x] = 0 for all basis pairs within the window.
 
     Runs on s*([x,y] + [y,x]) in `int`, s = `spec.scale`.  Only a pair within one
-    family that has a rule with itself is evaluated: `eval_rule` reads both orders
-    of a pair from two families from their one rule and flips the sign, so it is
-    antisymmetric by construction, and a pair with no rule gives {}.
-    `pairs_checked` counts every pair.
+    family that has a rule with itself is formed (`live_window`): `eval_rule` reads
+    both orders of a pair from two families from their one rule and flips the sign,
+    so it is antisymmetric by construction, and a pair with no rule gives {}.
+    `pairs_checked` counts every pair, C(n+1, 2) for n symbols.
     """
-    ruled = {f for f, partners in reach(spec._pair).items() if f in partners}
+    symbols = list(spec.basis_symbols(window.n_eq2))
     memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
-    return window_check(
-        "skew",
-        itertools.combinations_with_replacement(spec.basis_symbols(window.n_eq2), 2),
-        lambda x, y: axpy(dict(read(x, y)), dict(read(y, x)))
-        if x.family == y.family and x.family in ruled else {},
-        "skew-symmetry broken",
-        spec.scale,
-    )
+    residual = lambda x, y: axpy(dict(read(x, y)), dict(read(y, x)))
+    ruled = {(f, f): residual for f, partners in reach(spec._pair).items() if f in partners}
+    return live_check("skew", math.comb(len(symbols) + 1, 2),
+                      live_window(symbols, ruled, (None, 0)), "skew-symmetry broken", spec.scale)
 
 
 def _jacobi_rotations(x, y, z) -> tuple:
@@ -561,18 +580,16 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     """Jacobi residual over all basis triples within the window.
 
     Given bilinearity and antisymmetry, residuals with a repeated symbol
-    vanish identically, so distinct triples suffice.  All three cyclic terms
-    are formed as written: on a skew-broken bracket the sum is still J, not a
-    multiple of it.  Only a triple with a term whose families compose is
-    evaluated (`composed_check`); `pairs_checked` counts every triple.
+    vanish identically, so distinct triples suffice.  The cyclic terms are
+    formed as written: on a skew-broken bracket the sum is still J, not a
+    multiple of it.  Only a triple with a term whose families compose is formed,
+    and only those terms reach the kernel (`composed_plans`); `pairs_checked`
+    counts every triple, C(n, 3) for n symbols.
     """
-    return window_check(
-        "jacobi",
-        itertools.combinations(spec.basis_symbols(window.n_eq2), 3),
-        composed_check(spec, bracket_symbols, _jacobi_rotations),
-        "Jacobi identity broken",
-        spec.scale ** 2,
-    )
+    symbols = list(spec.basis_symbols(window.n_eq2))
+    plans = composed_plans(spec, bracket_symbols, _jacobi_rotations)
+    return live_check("jacobi", math.comb(len(symbols), 3), live_window(symbols, plans, (None, 1, 1)),
+                      "Jacobi identity broken", spec.scale ** 2)
 
 
 def check_grading(spec: AlgebraSpec, window: Window) -> Report:
@@ -580,29 +597,20 @@ def check_grading(spec: AlgebraSpec, window: Window) -> Report:
 
     Central targets carry degree 0, so they require the source degrees to
     sum to zero.  A pair whose families have no rule has no term, so it is
-    counted but not read.
+    not formed (`live_window`); `pairs_checked` counts every pair, C(m+1, 2)
+    for the m non-central symbols.
     """
     symbols = list(spec.basis_symbols(window.n_eq2, include_central=False))
-    table = reach(spec._pair)
+    ruled = {(a, b): None for a, partners in reach(spec._pair).items() for b in partners}
     memo = spec._cache  # read directly on a hit, as `check_skew` does
     violations = []
-    count = 0
-    for i, x in enumerate(symbols):
-        for y in symbols[i:]:
-            count += 1
-            if y.family not in table.get(x.family, ()):
-                continue
-            want = spec.degree2(x) + spec.degree2(y)
-            if (terms := memo.get((x, y))) is None:
-                terms = bracket_symbols(spec, x, y)
-            for sym, value in terms:
-                if spec.degree2(sym) != want:
-                    violations.append(
-                        Violation(
-                            (x, y),
-                            Element({sym: Fraction(value, spec.scale)}),
-                            f"term degree {format_index2(spec.degree2(sym))} != "
-                            f"source degree sum {format_index2(want)}",
-                        )
-                    )
-    return Report("grading", tuple(violations), count)
+    for (x, y), _ in live_window(symbols, ruled, (None, 0)):
+        want = spec.degree2(x) + spec.degree2(y)
+        if (terms := memo.get((x, y))) is None:
+            terms = bracket_symbols(spec, x, y)
+        for sym, value in terms:
+            if spec.degree2(sym) != want:
+                message = (f"term degree {format_index2(spec.degree2(sym))} != "
+                           f"source degree sum {format_index2(want)}")
+                violations.append(Violation((x, y), Element({sym: Fraction(value, spec.scale)}), message))
+    return Report("grading", tuple(violations), math.comb(len(symbols) + 1, 2))

@@ -26,6 +26,7 @@ family of products that the deformed algebras L1(lambda=1, mu) carry.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -43,12 +44,13 @@ from .core import (
     bilinear,
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
     composed,
-    composed_check,
+    composed_plans,
     composes,
     eval_rule,
     index_rules,
+    live_check,
+    live_window,
     reach,
-    window_check,
 )
 from .derivations import residual_terms
 from .linalg import axpy
@@ -86,7 +88,7 @@ def product_symbols(
         prod.algebra.family(y.family)
         # the canonical argument order keeps the product symmetric by construction
         key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
-        out = eval_rule(prod.algebra, prod._pair, *key, antisymmetric=False)
+        out = eval_rule(prod._pair, *key, antisymmetric=False)
         terms = prod._cache[x, y] = prod._cache[y, x] = tuple(out.items())
     return terms
 
@@ -128,26 +130,18 @@ def theorem_product(
 
 
 def check_commutative(prod: ProductSpec, bound2: int) -> Report:
-    """Products are evaluated once per unordered pair, in canonical order,
-    and memoized under both orientations, so x*y == y*x holds by
-    construction; the remaining content is that each rule evaluates
-    identically with its two arguments exchanged.  Only a one-family rule
-    can differ; the window lists its pairs in canonical order, so the memo
-    gives x*y and only y*x is evaluated here."""
-
-    def residual(x: BasisSymbol, y: BasisSymbol) -> dict[BasisSymbol, int]:
-        if x.family != y.family or x == y:
-            return {}
-        swapped = eval_rule(prod.algebra, prod._pair, y, x, antisymmetric=False)
-        return axpy(dict(product_symbols(prod, x, y)), swapped, -1)
-
-    return window_check(
-        "commutativity",
-        itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 2),
-        residual,
-        "commutativity broken",
-        prod.scale,
-    )
+    """Products are evaluated once per unordered pair, in canonical order, and memoized
+    under both orientations, so x*y == y*x holds by construction; the remaining content
+    is that each rule evaluates identically with its two arguments exchanged.  Only two
+    distinct symbols of one family with a rule with itself can differ, so only those
+    pairs are formed (`live_window`), in canonical order: the memo gives x*y and only
+    y*x is evaluated here.  `pairs_checked` counts every pair, C(n+1, 2)."""
+    symbols = list(prod.algebra.basis_symbols(bound2))
+    residual = lambda x, y: axpy(dict(product_symbols(prod, x, y)),
+                                 eval_rule(prod._pair, y, x, antisymmetric=False), -1)
+    ruled = {(f, f): residual for f, partners in reach(prod._pair).items() if f in partners}
+    return live_check("commutativity", math.comb(len(symbols) + 1, 2),
+                      live_window(symbols, ruled, (None, 1)), "commutativity broken", prod.scale)
 
 
 def _associator(x, y, z) -> tuple:
@@ -165,15 +159,13 @@ def associativity_terms(
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
     """(x*y)*z - x*(y*z) on every window triple with repeats, on s_p**2 times it.  Only
-    a triple with a term whose families compose is evaluated (`composed_check`);
-    `pairs_checked` counts every triple."""
-    return window_check(
-        "associativity",
-        itertools.combinations_with_replacement(prod.algebra.basis_symbols(bound2), 3),
-        composed_check(prod, product_symbols, _associator),
-        "associativity broken",
-        prod.scale ** 2,
-    )
+    a triple with a term whose families compose is formed, and only those terms reach
+    the kernel (`composed_plans`); `pairs_checked` counts every triple, C(n+2, 3)."""
+    symbols = list(prod.algebra.basis_symbols(bound2))
+    plans = composed_plans(prod, product_symbols, _associator)
+    return live_check("associativity", math.comb(len(symbols) + 2, 3),
+                      live_window(symbols, plans, (None, 0, 0)), "associativity broken",
+                      prod.scale ** 2)
 
 
 class _LeftMultiple(dict):
@@ -200,24 +192,20 @@ def compatibility_terms(
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     """2*z*[x,y] - [z*x, y] - [x, z*y] for distinct x, y and every z in the window.  Only
     a triple where a target family of [x,y] has a product rule with z's, or one of
-    z*x a bracket rule with y's, or one of z*y with x's (`composes`), is evaluated:
-    all three terms of any other are zero by construction.  `pairs_checked` counts
-    every triple."""
+    z*x a bracket rule with y's, or one of z*y with x's (`composes`), is formed
+    (`live_window`): all three terms of any other are zero by construction.
+    `pairs_checked` counts every triple, C(n, 2)*n for n symbols."""
     symbols = list(prod.algebra.basis_symbols(bound2))
-    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
     left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
+    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
+    residual = lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2)
     br, pr = reach(prod.algebra._pair), reach(prod._pair)
-    alive = {(a, b, c) for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
-             if composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
-             or composes(pr, br, c, b, a)}
-    return window_check(
-        "compatibility",
-        ((x, y, z) for x, y in itertools.combinations(symbols, 2) for z in symbols),
-        lambda x, y, z: (residual_terms(prod.algebra, left[z], x, y, 1, 2)
-                         if (x.family, y.family, z.family) in alive else {}),
-        "compatibility broken",
-        prod.algebra.scale * prod.scale,
-    )
+    live = {(a, b, c): residual for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
+            if composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
+            or composes(pr, br, c, b, a)}
+    n = len(symbols)
+    return live_check("compatibility", math.comb(n, 2) * n, live_window(symbols, live, (None, 1, None)),
+                      "compatibility broken", prod.algebra.scale * prod.scale)
 
 
 def check_tpa(prod: ProductSpec, bound2: int) -> list[Report]:

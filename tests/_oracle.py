@@ -5,7 +5,8 @@ integer matrix, kept deliberately separate from the package's sparse
 elimination.  The interior-dimension computation is reimplemented on top
 of it so it shares no sparse bookkeeping with the production path.
 `rule_table` is the oracle's own rule evaluator: `Poly.evaluate` on the
-rules as written, over `Fraction`, with a memo of its own.  It shares no
+rules as written where `fires` says their delta holds, over `Fraction`, with
+a memo of its own.  It shares no
 memo, no scale and no `eval_rule` with the package, whose checks run in
 `int` on rules multiplied by a scale.  `oracle_bracket` and `oracle_product`
 are its two tables.
@@ -22,7 +23,10 @@ from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
 `Element` sums of oracle brackets over `Fraction`, beside the package's
-checks, which run in `int` on the scaled bracket memo.
+checks, which run in `int` on the scaled bracket memo.  `tpa_oracle` does the
+same for commutativity, associativity and compatibility.  Both evaluate every
+window tuple, where the package forms only those whose families can give a
+nonzero term.
 """
 import functools
 from collections import defaultdict
@@ -172,6 +176,12 @@ def residual_rows(spec, g2, window, delta=F(1, 2)):
     return unknowns, list(rows.values())
 
 
+def fires(delta, m, n):
+    """Whether the `DeltaCondition` m + n + shift = 0 holds at the rule variables m, n;
+    a non-integral shift never does."""
+    return m + n + delta.shift == 0
+
+
 @functools.lru_cache(maxsize=32)  # equal specs and rules give equal tables
 def rule_table(spec, rules, antisymmetric, canonical=False):
     """(x, y) -> the value of `rules` at x, y (basis symbols or Elements) as an Element.
@@ -197,7 +207,7 @@ def rule_table(spec, rules, antisymmetric, canonical=False):
                     continue
                 m, n = a.twice // 2, b.twice // 2
                 for t in rule.terms:
-                    if t.delta is None or t.delta.fires(m, n):
+                    if t.delta is None or fires(t.delta, m, n):
                         fam = spec.family(t.target)
                         twice = 2 * (m + n + t.offset) + fam.parity
                         sym = BasisSymbol(t.target, None if fam.lattice == CENTRAL else twice)
@@ -229,6 +239,13 @@ def compatibility_oracle(prod, x, y, z):
     """2*z*[x,y] - [z*x,y] - [x,z*y], formed as three separate elements."""
     br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
     return mul(z, br(x, y)).scale(2) - br(mul(z, x), y) - br(x, mul(z, y))
+
+
+def commutativity_oracle(prod, x, y):
+    """x*y - y*x with each product read from the rules in the order given, not the
+    canonical order the package's product and `oracle_product` use."""
+    mul = rule_table(prod.algebra, prod.rules, antisymmetric=False)
+    return mul(x, y) - mul(y, x)
 
 
 def associativity_oracle(prod, x, y, z):
@@ -277,3 +294,21 @@ def axiom_oracle(spec, bound2):
         "grading": (len(graded) * (len(graded) + 1) // 2, grading),
         "jacobi": (len(jacobi), [(w, r) for w, r in jacobi if r]),
     }
+
+
+def tpa_oracle(prod, bound2):
+    """Commutativity, associativity and compatibility on the window |doubled index| <= bound2,
+    as `axiom_oracle` returns the axioms."""
+    symbols = list(prod.algebra.basis_symbols(bound2))
+    tuples = {
+        "commutativity": (commutativity_oracle, combinations_with_replacement(symbols, 2)),
+        "associativity": (associativity_oracle, combinations_with_replacement(symbols, 3)),
+        "compatibility": (compatibility_oracle,
+                          [(x, y, z) for x, y in combinations(symbols, 2) for z in symbols]),
+    }
+    out = {}
+    for check, (oracle, window) in tuples.items():
+        window = list(window)
+        found = [(t, r) for t in window if (r := oracle(prod, *t))]
+        out[check] = (len(window), found)
+    return out

@@ -1,0 +1,84 @@
+"""Every window dimension the solver reports, cross-checked with sympy.
+
+For a system of n unknowns, `sparse_nullspace` returns k vectors.  Each one is
+dotted with every row here, exactly, so each is in the kernel; sympy's rank of
+the k vectors over QQ is k, so they are independent and rank over QQ <= n - k.
+The rows hold integers, so their rank modulo any prime is at most their rank
+over QQ; sympy's rank modulo 10**9 + 7, a prime the package does not use,
+must be n - k.  Then the kernel has dimension exactly k, by a route that
+shares no code with `linalg._eliminate`.  The interior dimension is sympy's
+rank over QQ of the vectors' projections onto the core columns; it must equal
+the dimension each solve golden records at every degree, and the one the
+solver finds for each of criterion 6's four algebras at window (8, 3).
+"""
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from lieverify import catalog  # noqa: E402
+from lieverify.core import Window  # noqa: E402
+from lieverify.derivations import _is_core, assemble_system  # noqa: E402
+from lieverify.linalg import sparse_nullspace  # noqa: E402
+from test_acceptance import DEGREES2, DERIV_CONFIGS, WINDOW8, dims_at  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SOLVE_GOLDENS = sorted(path.name for path in GOLDEN.glob("solve_*.json"))
+CRITERION_6 = ("Ltilde2(-3,1/2)", "Ltilde3(-1,1/2)", "Ltilde4(1,1/2)", "Ltilde5(-1,0)")
+GF = sympy.GF(10**9 + 7)
+QQ = sympy.QQ
+
+
+def _rank(rows, ncols, domain, entry):
+    """sympy's rank over `domain` of the sparse rows (column -> value), entries by `entry`."""
+    matrix = {}
+    for i, row in enumerate(rows):
+        if found := {c: e for c, v in row.items() if (e := entry(v))}:
+            matrix[i] = found
+    return DomainMatrix(matrix, (len(rows), ncols), domain).rank()
+
+
+def _rational(v):
+    v = Fraction(v)
+    return QQ(v.numerator, v.denominator)
+
+
+def _interior_dim(spec, g2, window, delta):
+    """The kernel dimension proved as above, and the interior dimension by sympy."""
+    unknowns, rows = assemble_system(spec, g2, window, delta)
+    n = len(unknowns)
+    vectors = sparse_nullspace(rows, n)
+    for vector in vectors:
+        for row in rows:
+            assert sum(value * vector.get(c, 0) for c, value in row.items()) == 0
+    assert all(type(value) is int for row in rows for value in row.values())
+    assert _rank(vectors, n, QQ, _rational) == len(vectors)
+    assert _rank(rows, n, GF, GF) == n - len(vectors), (spec.name, g2)
+    core = {c: i for i, c in enumerate(c for c, u in enumerate(unknowns)
+                                       if _is_core(u, window.n_core2))}
+    projections = [{core[c]: v for c, v in vector.items() if c in core} for vector in vectors]
+    return _rank(projections, len(core), QQ, _rational)
+
+
+@pytest.mark.parametrize("name", SOLVE_GOLDENS)
+def test_solve_golden_dimensions_match_sympy(name):
+    golden = json.loads((GOLDEN / name).read_text())
+    params = {k: Fraction(v) for k, v in golden["params"].items()}
+    spec = catalog.builtin(golden["algebra"], params)
+    window = Window.displayed(int(golden["window"]["neq"]), int(golden["window"]["ncore"]))
+    delta = Fraction(golden["delta"])
+    assert golden["dims"]
+    for degree, dim in golden["dims"].items():
+        assert _interior_dim(spec, int(2 * Fraction(degree)), window, delta) == dim, degree
+
+
+@pytest.mark.parametrize("key", CRITERION_6)
+def test_criterion_6_dimensions_match_sympy(key):
+    """The solver's dimensions on which criterion 6 fails are the true window ones."""
+    spec = catalog.builtin(*DERIV_CONFIGS[key])
+    dims = {g2: _interior_dim(spec, g2, WINDOW8, Fraction(1, 2)) for g2 in DEGREES2}
+    assert dims == dims_at(key, WINDOW8)
