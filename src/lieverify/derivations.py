@@ -10,11 +10,13 @@ graded degree at a time: the derivation identity on the basis pairs inside
 the equation window yields an exact linear system whose unknowns are the
 matrix entries of ``phi`` on the symbols those equations reach, and the
 nullspace is projected onto an interior sub-window to discard window
-boundary artifacts.  ``residual_terms`` re-checks every reported generator on
-every window pair, in integers.  Unknowns, assembly and re-check all read
-s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom and TPA
-checks share and ``core.bracket_symbols`` fills; ``window_frame`` lists the
-window's pairs once per solve.
+boundary artifacts.  The pairs inside that core window are assembled first;
+the outer pairs follow only if singleton peeling of those rows leaves a core
+entry free (see `solve_degree`).  ``residual_terms`` re-checks every reported
+generator on every window pair, in integers.  Unknowns, assembly and re-check
+all read s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom
+and TPA checks share and ``core.bracket_symbols`` fills; ``window_frame``
+lists the window's pairs once per solve.
 """
 from __future__ import annotations
 
@@ -104,21 +106,27 @@ def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisS
 
 
 class Frame(NamedTuple):
-    """The degree-independent part of the system on one window, built once per solve."""
+    """The degree-independent part of the system on one window, built once per solve.
+
+    Pairs run by reach, max |doubled index| of x and y (0 if central), then basis order."""
 
     pairs: list[tuple]  # (x, y, s*[x, y]) for x before y among the n_eq symbols, not both central
     sources: list[BasisSymbol]  # the symbols and their pairwise bracket outputs, in basis order
+    inner: int  # how many leading pairs have reach <= n_core2
 
 
 def window_frame(spec: AlgebraSpec, window: Window) -> Frame:
     symbols = list(spec.basis_symbols(window.n_eq2))
     pairs = [(x, y, bracket_symbols(spec, x, y)) for x, y in itertools.combinations(symbols, 2)
              if x.twice is not None or y.twice is not None]  # central-central brackets vanish
+    reach = lambda pair: max(abs(pair[0].twice or 0), abs(pair[1].twice or 0))
+    pairs.sort(key=reach)  # stable: basis order within one reach
     sources = set(symbols)
     for _, _, terms in pairs:
         sources.update(sym for sym, _ in terms)
     order = {name: i for i, name in enumerate(spec.family_map)}
-    return Frame(pairs, sorted(sources, key=lambda s: (order[s.family], s.twice or 0)))
+    return Frame(pairs, sorted(sources, key=lambda s: (order[s.family], s.twice or 0)),
+                 sum(reach(pair) <= window.n_core2 for pair in pairs))
 
 
 def build_unknowns(
@@ -192,9 +200,7 @@ class Generator:
                 "target": format_symbol(tgt),
                 "value": str(val),
             }
-            for (src, tgt), val in sorted(
-                self.coefficients.items(), key=lambda kv: _unknown_key(kv[0])
-            )
+            for (src, tgt), val in sorted(self.coefficients.items(), key=_unknown_key)
         ]
         return {"description": self.description, "coefficients": coeffs}
 
@@ -242,14 +248,9 @@ class DerivationReport:
         }
 
 
-def _unknown_key(u: Unknown):
-    src, tgt = u
-    return (
-        src.family,
-        src.twice if src.twice is not None else 0,
-        tgt.family,
-        tgt.twice if tgt.twice is not None else 0,
-    )
+def _unknown_key(item: tuple[Unknown, Fraction]):
+    (src, tgt), _ = item
+    return (src.family, src.twice or 0, tgt.family, tgt.twice or 0)
 
 
 def _is_core(u: Unknown, n_core2: int) -> bool:
@@ -319,9 +320,20 @@ def solve_degree(
     delta: Fraction = Fraction(1, 2),
     frame: Optional[Frame] = None,
 ) -> DegreeResult:
-    unknowns, rows = assemble_system(spec, g2, window, delta, frame)
-    vectors = linalg.sparse_nullspace(rows, len(unknowns))
+    """The interior delta-derivations of degree g2/2, each re-checked on the window.
+
+    The core window's pairs are assembled first.  Their rows are a subset of the
+    system's, so their kernel contains the full one: if singleton peeling of them
+    alone zeroes every core column, the interior is 0 and the outer pairs are
+    skipped.  Pair order changes no output: the kernel is read off a unique RREF."""
+    frame = frame or window_frame(spec, window)
+    stage = frame._replace(pairs=frame.pairs[:frame.inner])
+    unknowns, rows = assemble_system(spec, g2, window, delta, stage)
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
+    if not linalg._forced_zero(rows).issuperset(core_cols):
+        stage = frame._replace(pairs=frame.pairs[frame.inner:])
+        rows += assemble_system(spec, g2, window, delta, stage)[1]
+    vectors = linalg.sparse_nullspace(rows, len(unknowns))
     basis = _interior_basis(vectors, core_cols)
 
     generators = []
@@ -341,9 +353,7 @@ def solve_degree(
             lambda x, y: residual_terms(spec, phi, x, y, p, q),
             "generator is not a delta-derivation",
         ).passed
-        interior = {
-            unknowns[c]: v for c, v in full.items() if _is_core(unknowns[c], window.n_core2)
-        }
+        interior = {unknowns[c]: full[c] for c in core_cols if c in full}
         generators.append(Generator(_describe(interior), interior))
     return DegreeResult(g2, len(basis), generators, checked)
 

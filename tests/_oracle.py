@@ -21,6 +21,8 @@ tables.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
+`full_system_route` solves one degree from the whole window system at once,
+beside `solve_degree`, which assembles the core window's pairs first.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
 `Element` sums of oracle brackets over `Fraction`, beside the package's
 checks, which run in `int` on the scaled bracket memo.  `tpa_oracle` does the
@@ -37,11 +39,13 @@ from typing import Sequence
 
 from lieverify.core import CENTRAL, BasisSymbol, Element, Report, bracket, window_check
 from lieverify.derivations import (
+    _interior_basis,
     _is_core,
     assemble_system,
     build_unknowns,
     derivation_residual,
 )
+from lieverify.linalg import sparse_nullspace
 from lieverify.tpa import ProductSpec
 
 F = Fraction
@@ -152,6 +156,15 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
     projections = [[v[c] for c in core_cols] for v in vectors]
     return dense_rank(projections)
+
+
+def full_system_route(spec, g2, window, delta=F(1, 2)):
+    """The interior generators' coefficients from the full system: `assemble_system`
+    on every window pair, `sparse_nullspace`, then `_interior_basis`."""
+    unknowns, rows = assemble_system(spec, g2, window, delta)
+    core = {i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)}
+    basis = _interior_basis(sparse_nullspace(rows, len(unknowns)), sorted(core))
+    return [{unknowns[c]: v for c, v in vec.items() if c in core} for vec in basis]
 
 
 def residual_rows(spec, g2, window, delta=F(1, 2)):

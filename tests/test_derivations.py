@@ -6,8 +6,9 @@ from itertools import combinations, product
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracle import oracle_bracket, oracle_interior_dim, residual_rows
+from _oracle import full_system_route, oracle_bracket, oracle_interior_dim, residual_rows
 from test_acceptance import DERIV_CONFIGS
 from test_axioms import spy_on_eval_rule
 from lieverify import catalog, core, derivations, linalg
@@ -219,6 +220,81 @@ def test_hot_loops_call_bracket_symbols_only_on_misses(monkeypatch):
         check(spec, window)
     assert hits and not any(hits)
     assert () in spec._cache.values()
+
+
+def _reach(x, y):
+    return max(abs(x.twice or 0), abs(y.twice or 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(catalog.REPRESENTATIVES), st.integers(0, 10), st.data())
+def test_frame_lists_the_window_pairs_by_reach(rep, n_eq2, data):
+    """The frame's pairs are the window's, central-central pairs left out, by reach
+    and family-major within one reach; `inner` counts those inside the core window."""
+    window = Window(n_eq2, data.draw(st.integers(0, n_eq2 // 2)))
+    spec = catalog.builtin(*rep)
+    frame = derivations.window_frame(spec, window)
+    listed = [(x, y) for x, y in combinations(spec.basis_symbols(n_eq2), 2)
+              if (x.twice, y.twice) != (None, None)]
+    pairs = [(x, y) for x, y, _ in frame.pairs]
+    assert Counter(pairs) == Counter(listed)
+    assert all(terms == bracket_symbols(spec, x, y) for x, y, terms in frame.pairs)
+    reach = [_reach(x, y) for x, y in pairs]
+    assert reach == sorted(reach)
+    for r in set(reach):
+        assert [p for p in pairs if _reach(*p) == r] == [p for p in listed if _reach(*p) == r]
+    inside = [all(s.twice is None or abs(s.twice) <= window.n_core2 for s in p) for p in pairs]
+    assert inside == [True] * frame.inner + [False] * (len(pairs) - frame.inner)
+
+
+@pytest.mark.parametrize("name, params", catalog.REPRESENTATIVES)
+def test_staged_solve_equals_the_full_system_route(name, params, monkeypatch):
+    """Each degree's generators equal those of the whole window system solved at once,
+    whether the core window's pairs alone settle the degree or not."""
+    spec = catalog.builtin(name, params)
+    window = Window.displayed(4, 1)
+    frame = derivations.window_frame(spec, window)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return assemble_system(*args)
+
+    monkeypatch.setattr(derivations, "assemble_system", spy)
+    for delta in (F(1, 2), F(1)):
+        for g2 in range(-4, 5):
+            calls.clear()
+            result = solve_degree(spec, g2, window, delta, frame)
+            want = full_system_route(spec, g2, window, delta)
+            assert [g.coefficients for g in result.generators] == want, (delta, g2)
+            assert result.interior_dim == len(want) and result.residual_checked
+            assert len(calls) == 2 or (len(calls) == 1 and not want)
+
+
+def test_so_hat_assembles_the_outer_pairs_only_when_a_core_entry_is_free(so_hat, monkeypatch):
+    window = Window.displayed(8, 3)
+    frame = derivations.window_frame(so_hat, window)
+    assembled = []
+
+    def spy(spec, g2, window, delta, stage):
+        assembled.append(stage.pairs)
+        return assemble_system(spec, g2, window, delta, stage)
+
+    monkeypatch.setattr(derivations, "assemble_system", spy)
+    assert solve_degree(so_hat, 1, window, F(1, 2), frame).interior_dim == 0
+    assert frame.inner == 432 and assembled == [frame.pairs[:432]]
+    assembled.clear()
+    assert solve_degree(so_hat, 0, window, F(1, 2), frame).interior_dim == 1
+    assert len(assembled) == 2 and assembled[0] + assembled[1] == frame.pairs
+    # one core column left free by the peel is enough to need the outer pairs
+    unknowns = build_unknowns(so_hat, 1, window, frame)
+    core = [c for c, u in enumerate(unknowns) if derivations._is_core(u, window.n_core2)]
+    peel = linalg._forced_zero
+    for free in (core[0], core[-1]):
+        monkeypatch.setattr(linalg, "_forced_zero", lambda rows: peel(rows) - {free})
+        assembled.clear()
+        assert solve_degree(so_hat, 1, window, F(1, 2), frame).interior_dim == 0
+        assert assembled == [frame.pairs[:432], frame.pairs[432:]]
 
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):

@@ -9,7 +9,10 @@ must be n - k.  Then the kernel has dimension exactly k, by a route that
 shares no code with `linalg._eliminate`.  The interior dimension is sympy's
 rank over QQ of the vectors' projections onto the core columns; it must equal
 the dimension each solve golden records at every degree, and the one the
-solver finds for each of criterion 6's four algebras at window (8, 3).
+solver finds for each of criterion 6's four algebras at window (8, 3).  On
+the two benchmark solves it must equal the dimensions `solve_derivations`
+reports; the solver may settle a degree from the core window's pairs alone,
+while the dimension here always comes from the full system.
 """
 import json
 from fractions import Fraction
@@ -22,13 +25,14 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from lieverify import catalog  # noqa: E402
 from lieverify.core import Window  # noqa: E402
-from lieverify.derivations import _is_core, assemble_system  # noqa: E402
+from lieverify.derivations import _is_core, assemble_system, solve_derivations  # noqa: E402
 from lieverify.linalg import sparse_nullspace  # noqa: E402
 from test_acceptance import DEGREES2, DERIV_CONFIGS, WINDOW8, dims_at  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SOLVE_GOLDENS = sorted(path.name for path in GOLDEN.glob("solve_*.json"))
 CRITERION_6 = ("Ltilde2(-3,1/2)", "Ltilde3(-1,1/2)", "Ltilde4(1,1/2)", "Ltilde5(-1,0)")
+BENCHMARK_SOLVES = {"so_hat": {}, "Ltilde1": {"lambda": Fraction(1), "mu": Fraction(1, 4)}}
 GF = sympy.GF(10**9 + 7)
 QQ = sympy.QQ
 
@@ -82,3 +86,12 @@ def test_criterion_6_dimensions_match_sympy(key):
     spec = catalog.builtin(*DERIV_CONFIGS[key])
     dims = {g2: _interior_dim(spec, g2, WINDOW8, Fraction(1, 2)) for g2 in DEGREES2}
     assert dims == dims_at(key, WINDOW8)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_SOLVES)
+def test_benchmark_solve_dimensions_match_sympy(name):
+    """so_hat and Ltilde1(1,1/4) at window (8, 3), delta 1/2, degrees -2..2."""
+    spec = catalog.builtin(name, BENCHMARK_SOLVES[name])
+    half = Fraction(1, 2)
+    dims = {g2: _interior_dim(spec, g2, WINDOW8, half) for g2 in DEGREES2}
+    assert solve_derivations(spec, DEGREES2, WINDOW8, half).dims == dims
