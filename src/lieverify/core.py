@@ -445,15 +445,6 @@ def live_check(check: str, count: int, found: Iterable, message: str, divisor: i
     return Report(check, tuple(violations), count)
 
 
-def window_check(check: str, tuples: Iterable, residual: Callable, message: str) -> Report:
-    """Count `tuples` and record a violation for each nonzero residual(*t), all evaluated."""
-    violations, count = [], 0
-    for count, t in enumerate(tuples, 1):
-        if r := residual(*t):
-            violations.append(Violation(t, Element(_over(r, 1)), message))
-    return Report(check, tuple(violations), count)
-
-
 def live_window(symbols: Sequence[BasisSymbol], live: Mapping, after: tuple) -> Iterator[tuple]:
     """(t, live[f]) for each window tuple t whose family tuple f is a key of `live`, in
     itertools' order: lexicographic in the positions in `symbols`.  t[k] starts after[k]

@@ -8,12 +8,20 @@ A linear map ``phi`` is a delta-derivation when for all x, y::
 half-derivations this package is mostly used for.)  The solver works one
 graded degree at a time: the derivation identity on the basis pairs inside
 the equation window yields an exact linear system whose unknowns are the
-matrix entries of ``phi`` on the symbols those equations reach, and the
-nullspace is projected onto an interior sub-window to discard window
-boundary artifacts.  The pairs inside that core window are assembled first;
-the outer pairs follow only if singleton peeling of those rows leaves a core
-entry free (see `solve_degree`).  ``residual_terms`` re-checks every reported
-generator on every window pair, in integers.  Unknowns, assembly and re-check
+matrix entries of ``phi`` on the symbols those equations reach.  Only the
+entries on the core sub-window are reported, to discard window boundary
+artifacts; the core unknowns are the last columns, in reverse basis order, so
+the interior basis is read straight off the kernel.  With lowest-column
+pivoting, kernel vector v_f is 1 at its free column f, 0 at the other free
+columns, and otherwise nonzero only at pivot columns below f: f = max(v_f).
+- A vector whose free column is not core is 0 on the core.
+- So the vectors whose free column is core span the kernel's core projection.
+- In basis order each of those projections leads with its 1 at f and is 0 at
+  the other free core columns: it is a row of the projection's unique RREF.
+The core window's pairs are assembled first; the outer pairs follow only if
+singleton peeling of those rows leaves a core entry free (see `solve_degree`).
+``residual_terms`` re-checks each reported generator on the window pairs, in
+integers, up to the first nonzero residual.  Unknowns, assembly and re-check
 all read s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom
 and TPA checks share and ``core.bracket_symbols`` fills; ``window_frame``
 lists the window's pairs once per solve.
@@ -37,7 +45,6 @@ from .core import (
     bracket_symbols,
     format_index2,
     format_symbol,
-    window_check,
 )
 
 Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
@@ -133,9 +140,13 @@ def build_unknowns(
     spec: AlgebraSpec, g2: int, window: Window, frame: Optional[Frame] = None
 ) -> list[Unknown]:
     """Degree-matched (source, target) pairs for the sources the equations reach:
-    the n_eq symbols and their pairwise bracket outputs, in basis order."""
+    the n_eq symbols and their pairwise bracket outputs, in basis order, except
+    that the core pairs (`_is_core`) come last and in reverse, so that
+    `solve_degree` reads the interior basis off the kernel (see the module)."""
     frame = frame or window_frame(spec, window)
-    return [(src, tgt) for src in frame.sources for tgt in _targets_for(spec, src, g2)]
+    unknowns = [(src, tgt) for src in frame.sources for tgt in _targets_for(spec, src, g2)]
+    core = [u for u in unknowns if _is_core(u, window.n_core2)]
+    return [u for u in unknowns if not _is_core(u, window.n_core2)] + core[::-1]
 
 
 def assemble_system(
@@ -258,29 +269,6 @@ def _is_core(u: Unknown, n_core2: int) -> bool:
     return src.twice is None or abs(src.twice) <= n_core2
 
 
-def _interior_basis(
-    vectors: Sequence[linalg.SparseRow], core_cols: Sequence[int]
-) -> list[linalg.SparseRow]:
-    """Nullspace combinations whose interior projections are in reduced form.
-
-    Each row holds the projection onto the core columns (columns 0..k-1)
-    followed by the full vector shifted by k, so one RREF reduces the
-    projections and carries the same row operations onto the full vectors:
-    every returned vector is still an exact solution of the full system.
-    """
-    k = len(core_cols)
-    index = {c: i for i, c in enumerate(core_cols)}
-    rows = []
-    for vec in vectors:
-        row = {index[c]: v for c, v in vec.items() if c in index}
-        row.update((c + k, v) for c, v in vec.items())
-        rows.append(row)
-    pivots = linalg.rref(rows)
-    return [
-        {c - k: v for c, v in pivots[p].items() if c >= k} for p in sorted(pivots) if p < k
-    ]
-
-
 def _describe(coeffs: dict[Unknown, Fraction]) -> str:
     """Human-readable summary of a derivation restricted to the interior."""
     if not coeffs:
@@ -325,16 +313,19 @@ def solve_degree(
     The core window's pairs are assembled first.  Their rows are a subset of the
     system's, so their kernel contains the full one: if singleton peeling of them
     alone zeroes every core column, the interior is 0 and the outer pairs are
-    skipped.  Pair order changes no output: the kernel is read off a unique RREF."""
+    skipped.  Pair order changes no output: the kernel is read off a unique RREF.
+    The core unknowns are columns outer..n-1, in reverse basis order, so the kernel
+    vectors whose free column is core, last first, are the interior basis: their core
+    projections form the projection's RREF in basis order (proof in the module)."""
     frame = frame or window_frame(spec, window)
     stage = frame._replace(pairs=frame.pairs[:frame.inner])
     unknowns, rows = assemble_system(spec, g2, window, delta, stage)
-    core_cols = [i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
-    if not linalg._forced_zero(rows).issuperset(core_cols):
+    outer = sum(not _is_core(u, window.n_core2) for u in unknowns)
+    if not linalg._forced_zero(rows).issuperset(range(outer, len(unknowns))):
         stage = frame._replace(pairs=frame.pairs[frame.inner:])
         rows += assemble_system(spec, g2, window, delta, stage)[1]
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
-    basis = _interior_basis(vectors, core_cols)
+    basis = [vec for vec in reversed(vectors) if max(vec) >= outer]
 
     generators = []
     checked = True
@@ -347,13 +338,9 @@ def solve_degree(
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
         phi = lambda s: images.get(s, {}).items()
-        checked &= window_check(
-            "derivation",
-            itertools.combinations(symbols, 2),
-            lambda x, y: residual_terms(spec, phi, x, y, p, q),
-            "generator is not a delta-derivation",
-        ).passed
-        interior = {unknowns[c]: full[c] for c in core_cols if c in full}
+        checked &= not any(residual_terms(spec, phi, x, y, p, q)
+                           for x, y in itertools.combinations(symbols, 2))
+        interior = {unknowns[c]: v for c, v in full.items() if c >= outer}
         generators.append(Generator(_describe(interior), interior))
     return DegreeResult(g2, len(basis), generators, checked)
 

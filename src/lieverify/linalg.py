@@ -227,6 +227,7 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
 
     Deterministic: the basis is the one `rref` gives (lowest-column pivoting),
     in free-column order with unit free coordinate, and columns are < ncols.
+    Every other entry of v_f is at a pivot column below f, so max(v_f) = f.
 
     It is computed mod PRIME and certified over Z: `_eliminate` reduces the
     peeled rows over `_GF`, each read-off entry is lifted to a rational by

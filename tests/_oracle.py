@@ -21,8 +21,11 @@ tables.
 `residual_rows` rebuilds the solver's linear system one column at a time
 from `derivation_residual` of a unit map, beside `assemble_system`, which
 accumulates whole rows at once.
-`full_system_route` solves one degree from the whole window system at once,
-beside `solve_degree`, which assembles the core window's pairs first.
+`full_system_route` solves one degree from the whole window system at once
+and reduces the kernel's core projection with a second RREF (`interior_basis`,
+on the core columns in basis order), beside `solve_degree`, which assembles
+the core window's pairs first and reads the interior basis off the kernel.
+`dense_rref` reduces a dense matrix by plain Gauss-Jordan, for projections.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
 `Element` sums of oracle brackets over `Fraction`, beside the package's
 checks, which run in `int` on the scaled bracket memo.  `tpa_oracle` does the
@@ -34,18 +37,18 @@ import functools
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
-from lieverify.core import CENTRAL, BasisSymbol, Element, Report, bracket, window_check
+from lieverify.core import CENTRAL, BasisSymbol, Element, Report, bracket, live_check
 from lieverify.derivations import (
-    _interior_basis,
     _is_core,
     assemble_system,
     build_unknowns,
     derivation_residual,
+    window_frame,
 )
-from lieverify.linalg import sparse_nullspace
+from lieverify.linalg import rref, sparse_nullspace
 from lieverify.tpa import ProductSpec
 
 F = Fraction
@@ -125,11 +128,12 @@ def dense_nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[li
     return basis
 
 
-def dense_rank(rows):
-    """Row rank over the rationals by plain Gaussian elimination."""
+def dense_rref(rows):
+    """The nonzero rows of the reduced row echelon form over the rationals, by plain
+    Gauss-Jordan elimination."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
     rank = 0
     for col in range(ncols):
@@ -138,13 +142,18 @@ def dense_rank(rows):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
+        rows[rank] = [F(v) / lead for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
+
+
+def dense_rank(rows):
+    """Row rank over the rationals."""
+    return len(dense_rref(rows))
 
 
 def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
@@ -158,13 +167,45 @@ def oracle_interior_dim(spec, g2, window, delta=F(1, 2)):
     return dense_rank(projections)
 
 
+def core_in_basis_order(spec, window, unknowns):
+    """The columns of the core unknowns (`_is_core`) in basis order: sources in
+    `frame.sources` order, targets in family order."""
+    source = {s: i for i, s in enumerate(window_frame(spec, window).sources)}
+    family = {name: i for i, name in enumerate(spec.family_map)}
+    core = [c for c, u in enumerate(unknowns) if _is_core(u, window.n_core2)]
+    return sorted(core, key=lambda c: (source[unknowns[c][0]], family[unknowns[c][1].family]))
+
+
+def interior_basis(vectors, core_cols):
+    """The reference projection route: kernel combinations whose projections onto
+    `core_cols`, in that order, are in reduced form.
+
+    Each row holds the projection onto the core columns (columns 0..k-1)
+    followed by the full vector shifted by k, so one RREF reduces the
+    projections and carries the same row operations onto the full vectors:
+    every returned vector is still an exact solution of the full system.
+    """
+    k = len(core_cols)
+    index = {c: i for i, c in enumerate(core_cols)}
+    rows = []
+    for vec in vectors:
+        row = {index[c]: v for c, v in vec.items() if c in index}
+        row.update((c + k, v) for c, v in vec.items())
+        rows.append(row)
+    pivots = rref(rows)
+    return [
+        {c - k: v for c, v in pivots[p].items() if c >= k} for p in sorted(pivots) if p < k
+    ]
+
+
 def full_system_route(spec, g2, window, delta=F(1, 2)):
     """The interior generators' coefficients from the full system: `assemble_system`
-    on every window pair, `sparse_nullspace`, then `_interior_basis`."""
+    on every window pair, `sparse_nullspace`, then `interior_basis` on the core
+    columns in basis order."""
     unknowns, rows = assemble_system(spec, g2, window, delta)
-    core = {i for i, u in enumerate(unknowns) if _is_core(u, window.n_core2)}
-    basis = _interior_basis(sparse_nullspace(rows, len(unknowns)), sorted(core))
-    return [{unknowns[c]: v for c, v in vec.items() if c in core} for vec in basis]
+    core = core_in_basis_order(spec, window, unknowns)
+    basis = interior_basis(sparse_nullspace(rows, len(unknowns)), core)
+    return [{unknowns[c]: vec[c] for c in core if c in vec} for vec in basis]
 
 
 def residual_rows(spec, g2, window, delta=F(1, 2)):
@@ -271,10 +312,11 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
     """Check that left multiplication by z is a 1/2-derivation."""
     br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
     phi = lambda s: mul(z, s)
-    return window_check(
-        "left-multiplication",
-        combinations(prod.algebra.basis_symbols(bound2), 2),
-        lambda x, y: phi(br(x, y)) - (br(phi(x), y) + br(x, phi(y))).scale(F(1, 2)),
+    residual = lambda x, y: phi(br(x, y)) - (br(phi(x), y) + br(x, phi(y))).scale(F(1, 2))
+    symbols = list(prod.algebra.basis_symbols(bound2))
+    return live_check(
+        "left-multiplication", comb(len(symbols), 2),
+        ((t, residual) for t in combinations(symbols, 2)),
         "left multiplication is not a 1/2-derivation",
     )
 

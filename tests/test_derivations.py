@@ -1,4 +1,4 @@
-"""The delta-derivation solver: residuals, systems, interior projection."""
+"""The delta-derivation solver: residuals, systems, the interior basis."""
 import math
 from collections import Counter
 from fractions import Fraction
@@ -103,24 +103,29 @@ class TestSystem:
 @pytest.mark.parametrize("key", DERIV_CONFIGS)
 @pytest.mark.parametrize("g2", (0, 2))
 def test_unknowns_follow_the_equations(key, g2):
-    """Sources are the n_eq symbols plus their bracket outputs, in basis order,
-    and each carries every symbol of the matching degree (shifted families too)."""
+    """Sources are the n_eq symbols plus their bracket outputs, and each carries every
+    symbol of the matching degree (shifted families too).  In basis order (sources, then
+    targets), the non-core unknowns come first and the core ones last, reversed."""
     spec = catalog.builtin(*DERIV_CONFIGS[key])
     window = Window.displayed(3, 1)
     symbols = list(spec.basis_symbols(window.n_eq2))
     reached = set(symbols).union(
         *(dict(bracket_symbols(spec, x, y)) for x, y in combinations(symbols, 2))
     )
+    unknowns = build_unknowns(spec, g2, window)
     targets: dict[BasisSymbol, list[BasisSymbol]] = {}
-    for src, tgt in build_unknowns(spec, g2, window):
+    for src, tgt in unknowns:
         targets.setdefault(src, []).append(tgt)
     assert set(targets) == reached
     rank = {fam.name: i for i, fam in enumerate(spec.families)}
-    assert list(targets) == sorted(reached, key=lambda s: (rank[s.family], s.twice or 0))
     # a window wide enough to hold every degree-matched symbol, found by degree alone
     wide = list(spec.basis_symbols(max(abs(spec.degree2(s)) for s in reached) + abs(g2) + 4))
-    for src, tgts in targets.items():
-        assert tgts == [t for t in wide if spec.degree2(t) == spec.degree2(src) + g2], src
+    basis = [(src, tgt) for src in sorted(reached, key=lambda s: (rank[s.family], s.twice or 0))
+             for tgt in wide if spec.degree2(tgt) == spec.degree2(src) + g2]
+    inside = lambda u: u[0].twice is None or abs(u[0].twice) <= window.n_core2
+    core = [u for u in basis if inside(u)]
+    assert core and len(core) < len(basis)
+    assert unknowns == [u for u in basis if not inside(u)] + core[::-1]
 
 
 def _normalized(rows):
@@ -299,41 +304,51 @@ def test_so_hat_assembles_the_outer_pairs_only_when_a_core_entry_is_free(so_hat,
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
     """Run solve_degree with spies on its kernel vectors (spoiled by `spoil`, if
-    given) and on its re-check.  Each int residual must be lcm * scale * q times
-    derivation_residual's, where lcm clears the generator's denominators."""
-    basis, residuals = [], []
-    project = derivations._interior_basis
+    given) and on its re-check.  The generators are the vectors with a core entry,
+    last first.  Each int residual, up to a generator's first nonzero one, must be
+    lcm * scale * q times derivation_residual's, where lcm clears the generator's
+    denominators."""
+    vectors, residuals = [], []
+    nullspace = linalg.sparse_nullspace
 
-    def projected(vectors, core_cols):
-        basis.extend(project(vectors, core_cols))
+    def kernel_vectors(rows, ncols):
+        vectors.extend(nullspace(rows, ncols))
         if spoil:
-            spoil(basis)
-        return basis
+            spoil(vectors)
+        return vectors
 
     def kernel(algebra, phi, x, y, p, q):
         assert all(type(v) is int for s in (x, y) for _, v in phi(s))
         residuals.append(residual_terms(algebra, phi, x, y, p, q))
         return residuals[-1]
 
-    monkeypatch.setattr(derivations, "_interior_basis", projected)
+    monkeypatch.setattr(linalg, "sparse_nullspace", kernel_vectors)
     monkeypatch.setattr(derivations, "residual_terms", kernel)
     result = solve_degree(spec, g2, window, delta)
     monkeypatch.undo()
 
     unknowns = build_unknowns(spec, g2, window)
+    core = lambda c: derivations._is_core(unknowns[c], window.n_core2)
+    basis = [full for full in reversed(vectors) if any(map(core, full))]
+    assert [g.coefficients for g in result.generators] == [
+        {unknowns[c]: v for c, v in full.items() if core(c)} for full in basis]
     pairs = list(combinations(spec.basis_symbols(window.n_eq2), 2))
-    assert len(residuals) == len(basis) * len(pairs)
+    got = iter(residuals)
     checked = True
-    for i, full in enumerate(basis):
+    for full in basis:
         images = {}
         for c, v in full.items():
             images.setdefault(unknowns[c][0], {})[unknowns[c][1]] = v
         factor = math.lcm(*(v.denominator for v in full.values())) * spec.scale * delta.denominator
-        for (x, y), got in zip(pairs, residuals[i * len(pairs):]):
-            assert all(type(v) is int for v in got.values())
+        for x, y in pairs:
+            terms = next(got)
+            assert all(type(v) is int for v in terms.values())
             want = derivation_residual(spec, lambda s: images.get(s, {}), x, y, delta)
-            assert got == {sym: factor * c for sym, c in want.items()}, (g2, delta, x, y)
-            checked &= not want
+            assert terms == {sym: factor * c for sym, c in want.items()}, (g2, delta, x, y)
+            if want:
+                checked = False
+                break
+    assert next(got, None) is None
     assert result.residual_checked == checked
     return result
 
@@ -347,8 +362,8 @@ def test_integer_recheck_agrees_with_fraction_route(key, monkeypatch):
 
 
 def test_recheck_flags_a_spoil_with_a_denominator(so_hat, monkeypatch):
-    def spoil(basis):
-        basis[0][min(basis[0])] += F(1, 3)
+    def spoil(vectors):
+        vectors[-1][min(vectors[-1])] += F(1, 3)
 
     result = _assert_agrees(so_hat, 0, Window.displayed(4, 1), F(1, 2), monkeypatch, spoil)
     assert result.interior_dim == 1 and not result.residual_checked
@@ -364,14 +379,14 @@ class TestSolve:
     def test_recheck_flags_a_spoiled_generator(self, so_hat, monkeypatch):
         # the re-check evaluates the reported maps: doubling one entry of
         # the identity map leaves a nonzero residual
-        original = derivations._interior_basis
+        nullspace = linalg.sparse_nullspace
 
-        def spoiled(vectors, core_cols):
-            basis = original(vectors, core_cols)
-            basis[0][min(basis[0])] *= 2
-            return basis
+        def spoiled(rows, ncols):
+            vectors = nullspace(rows, ncols)
+            vectors[-1][min(vectors[-1])] *= 2
+            return vectors
 
-        monkeypatch.setattr(derivations, "_interior_basis", spoiled)
+        monkeypatch.setattr(linalg, "sparse_nullspace", spoiled)
         res = solve_degree(so_hat, 0, Window.displayed(4, 1))
         assert res.interior_dim == 1 and not res.residual_checked
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lieverify import linalg
 
-from _oracle import dense_nullspace
+from _oracle import dense_nullspace, dense_rref
 
 F = Fraction
 
@@ -256,3 +256,31 @@ def test_both_fields_give_the_same_rref(rows):
     reduced = {col: {c: v.numerator * pow(v.denominator, -1, P) % P for c, v in prow.items()}
                for col, prow in exact.items()}
     assert reduced == modular
+
+
+@st.composite
+def _split_systems(draw):
+    """Small integer rows on n columns and a split k < n: columns k.. are the core."""
+    ncols = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         max_size=6))
+    return rows, ncols, draw(st.integers(0, ncols - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_systems())
+@example(([[0, 1, 1]], 3, 1))
+def test_core_vectors_are_the_rref_of_the_projection(system):
+    """With the core columns last and reversed, as `solve_degree` lays them out, the
+    kernel vectors whose free column is core, last first, project onto the core (read
+    back in the original order) as the RREF of the dense oracle kernel's projection.
+    In the example x1 + x2 = 0 on the core: the projection's RREF is (1, -1), where a
+    core block left in order would give (-1, 1)."""
+    rows, ncols, k = system
+    layout = list(range(k)) + list(reversed(range(k, ncols)))  # column -> original column
+    sparse = [{c: row[j] for c, j in enumerate(layout) if row[j]} for row in rows]
+    vectors = linalg.sparse_nullspace([row for row in sparse if row], ncols)
+    core = [vec for vec in reversed(vectors) if max(vec) >= k]
+    got = [[vec.get(layout.index(j), F(0)) for j in range(k, ncols)] for vec in core]
+    kernel = dense_nullspace([[F(v) for v in row] for row in rows], ncols)
+    assert got == dense_rref([vec[k:] for vec in kernel])
