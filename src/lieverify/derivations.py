@@ -337,8 +337,8 @@ def solve_degree(
         for c, v in linalg._as_ints(full).items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
-        phi = lambda s: images.get(s, {}).items()
-        checked &= not any(residual_terms(spec, phi, x, y, p, q)
+        image = {src: tuple(terms.items()) for src, terms in images.items()}
+        checked &= not any(residual_terms(spec, lambda s: image.get(s, ()), x, y, p, q)
                            for x, y in itertools.combinations(symbols, 2))
         interior = {unknowns[c]: v for c, v in full.items() if c >= outer}
         generators.append(Generator(_describe(interior), interior))

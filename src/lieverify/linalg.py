@@ -5,15 +5,16 @@ the one accumulation kernel every module uses.  `_eliminate` is the one
 elimination routine: incremental reduced row echelon form on sparse rows
 (dict column -> entry) with deterministic lowest-column pivoting, over a
 `_Field`.  A field supplies how a live row becomes field entries, its axpy,
-how a row is scaled to a leading 1 given its lead, and its 1.  `rref` runs
-it over `_Q`, the rationals.  `sparse_nullspace` runs it over `_GF`, the
-integers mod the prime 2**61 - 1, on rows scaled to integers, and certifies
-the kernel over the integers (in the style of Dixon, Numer. Math. 1982):
-each kernel entry is lifted to a rational by rational reconstruction, and
-every lifted vector, scaled to integers, must have dot product exactly 0
-with every input row.  When a lift or the certificate fails it reads the
-kernel off the exact `rref` instead, with one fixed prime and no retry.
-Both always return Fraction entries; nothing is approximate.
+how a row is scaled to a leading 1 given its lead, and its 1.  A row on dead
+and pivot columns alone is deferred, not reduced.  `rref` runs it over `_Q`,
+the rationals, then reduces the deferred rows.  `sparse_nullspace` runs it
+over `_GF`, the integers mod the prime 2**61 - 1, on rows scaled to integers,
+and certifies the kernel over the integers (in the style of Dixon, Numer.
+Math. 1982): each kernel entry is lifted to a rational by rational
+reconstruction, and every lifted vector, scaled to integers, must have dot
+product exactly 0 with every input row, deferred ones too.  When a lift or
+the certificate fails it reduces the deferred rows and tries once more, then
+reads the kernel off the exact `rref`.  Both return Fraction entries.
 
 Before any elimination, `_eliminate` peels the columns that singleton rows
 force to zero, by propagation over the row supports alone (the singleton
@@ -129,47 +130,57 @@ _GF = _Field(  # rows scaled to integers, so no denominator needs an inverse; en
     _axpy_mod, _normalized_mod, 1)
 
 
-def _eliminate(rows: list[SparseRow], field: _Field) -> dict[int, dict]:
-    """Reduced row echelon form of the rows over `field`, as pivot column -> row.
+def _reduce_into(pivots: dict[int, dict], row: dict, field: _Field) -> Optional[int]:
+    """Reduce `row` (field entries, consumed) by `pivots`; store what is left, if
+    anything, as a new pivot row and return its column.  Pivot rows hold no other
+    pivot column, so clearing each pivot column once, in any order, is enough."""
+    add = field.axpy
+    for col in [c for c in row if c in pivots]:
+        add(row, pivots[col], -row[col])
+    if not row:
+        return None
+    col = min(row)
+    row = field.normalized(row, row[col])
+    for prow in pivots.values():  # keep the basis reduced
+        factor = prow.get(col)
+        if factor is not None:
+            add(prow, row, -factor)
+    pivots[col] = row
+    return col
+
+
+def _eliminate(rows: list[SparseRow], field: _Field) -> tuple[dict[int, dict], list[SparseRow]]:
+    """RREF over `field` of the rows that can add a pivot, as pivot column -> row,
+    and the deferred rest, raw: `_reduce_into` over them completes RREF(rows).
 
     Columns forced to zero by singleton rows (`_forced_zero`) become unit pivot
-    rows {c: field.one} without any arithmetic; only the live parts of the
-    remaining rows are eliminated.  Pivot rows are fully reduced (they contain
-    no other pivot column), so clearing each pivot column of a row once is
-    enough: that can only introduce non-pivot columns.
-    """
-    entries, add, normalized, one = field
+    rows {c: field.one} without any arithmetic, and rows on them alone drop out.
+    A row on dead and pivot columns alone is deferred; only the live parts of
+    the other rows are eliminated."""
     dead = _forced_zero(rows)
+    known = set(dead)
     pivots: dict[int, dict] = {}
+    deferred = []
     for raw in rows:
-        if dead:
-            if dead.issuperset(raw):
-                continue
-            raw = {c: v for c, v in raw.items() if c not in dead}
-        row = entries(raw)
-        for col in sorted(c for c in row if c in pivots):
-            factor = row.get(col)
-            if factor:
-                add(row, pivots[col], -factor)
-        if not row:
+        if known.issuperset(raw):
+            if not dead.issuperset(raw):
+                deferred.append(raw)
             continue
-        col = min(row)
-        row = normalized(row, row[col])
-        # keep the basis reduced: clear the new pivot column everywhere
-        for prow in pivots.values():
-            factor = prow.get(col)
-            if factor is not None:
-                add(prow, row, -factor)
-        pivots[col] = row
+        if dead:
+            raw = {c: v for c, v in raw.items() if c not in dead}
+        known.add(_reduce_into(pivots, field.entries(raw), field))  # None: no new pivot
     for col in dead:
-        pivots[col] = {col: one}
-    return pivots
+        pivots[col] = {col: field.one}
+    return pivots, deferred
 
 
 def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """`_eliminate` over Q: rows hold int or Fraction entries, none zero; the
-    returned rows hold Fractions."""
-    return _eliminate(list(rows), _Q)
+    """`_eliminate` over Q, then its deferred rows: rows hold int or Fraction
+    entries, none zero; the returned rows hold Fractions."""
+    pivots, deferred = _eliminate(list(rows), _Q)
+    for row in deferred:
+        _reduce_into(pivots, dict(row), _Q)
+    return pivots
 
 
 def _lift(a: int) -> Optional[Fraction]:
@@ -229,17 +240,17 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     in free-column order with unit free coordinate, and columns are < ncols.
     Every other entry of v_f is at a pivot column below f, so max(v_f) = f.
 
-    It is computed mod PRIME and certified over Z: `_eliminate` reduces the
-    peeled rows over `_GF`, each read-off entry is lifted to a rational by
-    `_lift`, and every lifted vector, scaled to integers, must have dot
-    product exactly 0 with every input row.  If a lift or the certificate
-    fails, the kernel is read off the exact `rref` instead.  The certified
-    result is exactly that basis:
+    It is computed mod PRIME and certified over Z: `_eliminate` reduces over
+    `_GF` the rows that can add a pivot, each read-off entry is lifted by
+    `_lift`, and every lifted vector, scaled to integers, must have dot product
+    exactly 0 with every input row.  If a lift or the certificate fails, the
+    deferred rows are reduced too and it tries once more, then falls back to
+    the exact `rref`.  The certified result is exactly that basis:
 
-    - the peeled, scaled rows span the input's row space over Q, and their
-      rank mod p <= their rank over Q, since a minor that is nonzero mod p is
-      nonzero over Z; so there are at least as many free columns mod p as
-      over Q;
+    - the rows reduced mod p (the dead unit rows and the live parts of some
+      rows) lie in the input's row space over Q, and their rank mod p <= their
+      rank over Q, since a minor that is nonzero mod p is nonzero over Z; so
+      there are at least as many free columns mod p as over Q;
     - the certified vectors lie in ker over Q, and they are independent: v_f
       is 1 at its free column f and 0 at every other free column mod p; so
       the free columns mod p are at most dim ker over Q in number;
@@ -251,13 +262,19 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
       vector the exact route reads off.
     """
     rows = list(rows)
-    vectors = []
-    for vec in _kernel_basis(_eliminate(rows, _GF), ncols, _GF):
-        lifted = {c: _lift(v % PRIME) for c, v in vec.items()}
-        if None in lifted.values():
-            break
-        vectors.append(lifted)
-    else:
-        if _certified(vectors, rows):
-            return vectors
-    return _kernel_basis(rref(rows), ncols, _Q)
+    pivots, deferred = _eliminate(rows, _GF)
+    while True:
+        vectors = []
+        for vec in _kernel_basis(pivots, ncols, _GF):
+            lifted = {c: _lift(v % PRIME) for c, v in vec.items()}
+            if None in lifted.values():
+                break
+            vectors.append(lifted)
+        else:
+            if _certified(vectors, rows):
+                return vectors
+        if not deferred:
+            return _kernel_basis(rref(rows), ncols, _Q)
+        for row in deferred:
+            _reduce_into(pivots, _GF.entries(row), _GF)
+        deferred = []

@@ -26,6 +26,8 @@ and reduces the kernel's core projection with a second RREF (`interior_basis`,
 on the core columns in basis order), beside `solve_degree`, which assembles
 the core window's pairs first and reads the interior basis off the kernel.
 `dense_rref` reduces a dense matrix by plain Gauss-Jordan, for projections.
+`modular_rref` is the whole RREF mod PRIME: `_eliminate` over `_GF`, then
+its deferred rows, as `sparse_nullspace` completes it when it retries.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
 `Element` sums of oracle brackets over `Fraction`, beside the package's
 checks, which run in `int` on the scaled bracket memo.  `tpa_oracle` does the
@@ -48,7 +50,7 @@ from lieverify.derivations import (
     derivation_residual,
     window_frame,
 )
-from lieverify.linalg import rref, sparse_nullspace
+from lieverify.linalg import _GF, _eliminate, _reduce_into, rref, sparse_nullspace
 from lieverify.tpa import ProductSpec
 
 F = Fraction
@@ -149,6 +151,14 @@ def dense_rref(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rows[:rank]
+
+
+def modular_rref(rows):
+    """RREF mod PRIME of sparse rows, as pivot column -> row with entries in [1, PRIME)."""
+    pivots, deferred = _eliminate(list(rows), _GF)
+    for row in deferred:
+        _reduce_into(pivots, _GF.entries(row), _GF)
+    return pivots
 
 
 def dense_rank(rows):

@@ -177,6 +177,29 @@ def test_modular_kernel_equals_exact_route(key):
             assert kernel == _exact_kernel(rows, len(unknowns)), (key, g2, delta)
 
 
+def test_so_hat_degree_0_reduces_only_the_rows_that_can_add_a_pivot(so_hat, monkeypatch):
+    """At window (8, 3) the degree-0 system of so_hat reduces 193 live rows mod p and
+    defers 1 462 whose columns are all dead or pivots already.  The certificate, which
+    also checks the deferred rows, passes on the first try: no retry, no exact route."""
+    eliminate, deferred = linalg._eliminate, []
+
+    def spy(rows, field):
+        pivots, rest = eliminate(rows, field)
+        deferred.append(len(rest))
+        return pivots, rest
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    with mock.patch.object(linalg, "_reduce_into", wraps=linalg._reduce_into) as reduce, \
+            mock.patch.object(linalg, "_certified", wraps=linalg._certified) as certified, \
+            mock.patch.object(linalg, "rref", wraps=linalg.rref) as exact:
+        result = solve_degree(so_hat, 0, Window.displayed(8, 3))
+    assert result.interior_dim == 1 and result.residual_checked
+    assert reduce.call_count == 193
+    assert deferred == [1462]
+    certified.assert_called_once()
+    exact.assert_not_called()
+
+
 @pytest.mark.parametrize("name, params", catalog.REPRESENTATIVES)
 def test_scaled_bracket_is_exact(name, params):
     """scale * [x, y] in int on every ordered window pair, both when the pair is

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lieverify import linalg
 
-from _oracle import dense_nullspace, dense_rref
+from _oracle import dense_nullspace, dense_rref, modular_rref
 
 F = Fraction
 
@@ -247,15 +247,47 @@ def test_fraction_rows_take_the_modular_route(rows):
 def test_both_fields_give_the_same_rref(rows):
     """Integer entries of at most 30 on 6 columns keep every minor below
     30**6 * 6**3 < PRIME (Hadamard), so a minor is nonzero mod PRIME exactly
-    when it is over Q.  `_eliminate` over `_GF` then finds the pivot columns
-    `rref` finds, and every exact entry, the dead columns' unit rows too,
-    reduces mod PRIME to the modular one."""
+    when it is over Q.  `_eliminate` over `_GF`, then its deferred rows
+    (`modular_rref`), finds the pivot columns `rref` finds, and every exact
+    entry, the dead columns' unit rows too, reduces mod PRIME to the modular one."""
     exact = linalg.rref(rows)
-    modular = linalg._eliminate(rows, linalg._GF)
+    modular = modular_rref(rows)
     assert sorted(exact) == sorted(modular)
     reduced = {col: {c: v.numerator * pow(v.denominator, -1, P) % P for c, v in prow.items()}
                for col, prow in exact.items()}
     assert reduced == modular
+
+
+def test_retry_reduces_the_deferred_rows():
+    """x0 + x1 uses only pivot columns, so it is deferred, yet it is independent:
+    the first kernel, (-1, -1, 1), fails the certificate on it, and the retry
+    reduces it into the pivots mod p instead of taking the exact route."""
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]
+    pivots, deferred = linalg._eliminate(rows, linalg._GF)
+    assert sorted(pivots) == [0, 1] and deferred == [rows[2]]
+    with _spy_exact_route() as exact:
+        assert linalg.sparse_nullspace(rows, 3) == []
+    exact.assert_not_called()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-29, 29).filter(bool), min_size=1, max_size=6),
+    max_size=8,
+))
+@example([{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}])
+@example([{0: 29, 1: -29}, {1: 29, 2: 29}, {0: 29, 2: 29}, {3: 2, 4: 1}, {3: 4, 4: 2, 5: 1}])
+def test_deferred_rows_never_reach_the_exact_route(rows):
+    """Integer entries of at most 29 on 6 columns: every minor is below
+    160 * 29**6 < PRIME, so ranks mod PRIME equal ranks over Q, and a kernel
+    entry, a ratio of minors of order at most 5, is below 48 * 29**5 < _BOUND
+    (160 and 48 are the largest determinants of orders 6 and 5 with entries in
+    [-1, 1]), so it lifts.  A wrong first kernel is refused and the retry is
+    right, whatever was deferred: the exact route is never taken."""
+    with _spy_exact_route() as exact:
+        kernel = linalg.sparse_nullspace(rows, 6)
+    exact.assert_not_called()
+    assert _kernel_rows(kernel, 6) == dense_nullspace(_dense_rows(rows, 6), 6)
 
 
 @st.composite
