@@ -68,7 +68,17 @@ def _parse_fraction(text: str, what: str = "value") -> Fraction:
         raise UsageError(f"invalid {what} {_shown(text)}: expected a rational like 3 or -1/2") from exc
 
 
+def _too_long(text: str) -> Optional[str]:
+    """Why `text` has too many digits to read, if it has (int() refuses 4 301)."""
+    size = sum(c.isdecimal() for c in text)
+    if size > dsl.MAX_DIGITS:
+        return f"an integer of about {size} digits exceeds the maximum {dsl.MAX_DIGITS}"
+    return None
+
+
 def _parse_int(text: str, what: str) -> int:
+    if reason := _too_long(text):
+        raise UsageError(f"invalid {what}: {reason}")
     try:
         return int(text)
     except ValueError as exc:
@@ -76,11 +86,13 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _int_option(text: str) -> int:
-    """argparse type of --neq and --ncore; its error quotes at most 40 characters."""
+    """argparse type of --neq and --ncore; its error quotes at most 40 characters.
+    An integer int() reads is bounded later (`MAX_NEQ`, `Window`)."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(text)}") from None
+        reason = _too_long(text) or f"expected an integer, got {_shown(text)}"
+        raise argparse.ArgumentTypeError(reason) from None
 
 
 def _entries(items: Sequence[str], sep: str, what: str, form: str) -> Iterator[tuple[str, str]]:
@@ -269,7 +281,8 @@ def cmd_solve_deriv(args) -> int:
                     f"degree {format_index2(g2)}: expected dim {dim}, got {actual}"
                 )
         payload["expect_ok"] = not mismatch
-    residual_ok = all(d.residual_checked for d in report.degrees)
+    unchecked = [f"degree {format_index2(d.degree2)}: residual re-check failed"
+                 for d in report.degrees if not d.residual_checked]
     if args.format == "json":
         _emit(_dump_json(payload), args.out)
     else:
@@ -281,9 +294,9 @@ def cmd_solve_deriv(args) -> int:
             )
         lines.extend(f"  MISMATCH {m}" for m in mismatch)
         _emit("\n".join(lines), args.out)
-    for m in mismatch:
+    for m in mismatch + unchecked:
         print(m, file=sys.stderr)
-    return EXIT_OK if not mismatch and residual_ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if mismatch or unchecked else EXIT_OK
 
 
 def cmd_check_tpa(args) -> int:

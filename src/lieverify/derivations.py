@@ -19,7 +19,8 @@ columns, and otherwise nonzero only at pivot columns below f: f = max(v_f).
 - In basis order each of those projections leads with its 1 at f and is 0 at
   the other free core columns: it is a row of the projection's unique RREF.
 The core window's pairs are assembled first; the outer pairs follow only if
-singleton peeling of those rows leaves a core entry free (see `solve_degree`).
+`_forced_zero`, the singleton peel and the one stage test per degree, leaves
+a core entry of those rows free (see `solve_degree`); ``linalg`` never peels.
 ``residual_terms`` re-checks each reported generator on the window pairs, in
 integers, up to the first nonzero residual.  Unknowns, assembly and re-check
 all read s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom
@@ -301,6 +302,39 @@ def _describe(coeffs: dict[Unknown, Fraction]) -> str:
     return "; ".join(parts)
 
 
+def _forced_zero(rows: list[linalg.SparseRow]) -> set[int]:
+    """Columns that singleton propagation over the row supports forces to zero.
+
+    A row with one nonzero entry at column c forces x_c = 0 in every kernel
+    vector; striking c from the other rows may leave a new singleton (the
+    singleton step of structured Gaussian elimination, LaMacchia & Odlyzko,
+    CRYPTO '90).  Rows have no zero entries, so every column returned is 0 on
+    the whole kernel of `rows`.  Each row keeps only its count of live columns
+    and the sum of their indices, so a row whose count drops to 1 names its
+    last column by the sum.
+    """
+    count = [len(row) for row in rows]
+    total = [sum(row) for row in rows]
+    touching: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            touching.setdefault(col, []).append(i)
+    stack = [i for i, n in enumerate(count) if n == 1]
+    dead: set[int] = set()
+    while stack:
+        i = stack.pop()
+        if count[i] != 1:  # its last column died through another row
+            continue
+        col = total[i]
+        dead.add(col)
+        for j in touching[col]:
+            count[j] -= 1
+            total[j] -= col
+            if count[j] == 1:
+                stack.append(j)
+    return dead
+
+
 def solve_degree(
     spec: AlgebraSpec,
     g2: int,
@@ -311,8 +345,8 @@ def solve_degree(
     """The interior delta-derivations of degree g2/2, each re-checked on the window.
 
     The core window's pairs are assembled first.  Their rows are a subset of the
-    system's, so their kernel contains the full one: if singleton peeling of them
-    alone zeroes every core column, the interior is 0 and the outer pairs are
+    system's, so their kernel contains the full one: if `_forced_zero` of them
+    alone holds every core column, the interior is 0 and the outer pairs are
     skipped.  Pair order changes no output: the kernel is read off a unique RREF.
     The core unknowns are columns outer..n-1, in reverse basis order, so the kernel
     vectors whose free column is core, last first, are the interior basis: their core
@@ -321,7 +355,7 @@ def solve_degree(
     stage = frame._replace(pairs=frame.pairs[:frame.inner])
     unknowns, rows = assemble_system(spec, g2, window, delta, stage)
     outer = sum(not _is_core(u, window.n_core2) for u in unknowns)
-    if not linalg._forced_zero(rows).issuperset(range(outer, len(unknowns))):
+    if not _forced_zero(rows).issuperset(range(outer, len(unknowns))):
         stage = frame._replace(pairs=frame.pairs[frame.inner:])
         rows += assemble_system(spec, g2, window, delta, stage)[1]
     vectors = linalg.sparse_nullspace(rows, len(unknowns))

@@ -4,27 +4,17 @@ Vectors are dicts key -> Fraction (or int) with no zero entries.  `axpy` is
 the one accumulation kernel every module uses.  `_eliminate` is the one
 elimination routine: incremental reduced row echelon form on sparse rows
 (dict column -> entry) with deterministic lowest-column pivoting, over a
-`_Field`.  A field supplies how a live row becomes field entries, its axpy,
-how a row is scaled to a leading 1 given its lead, and its 1.  A row on dead
-and pivot columns alone is deferred, not reduced.  `rref` runs it over `_Q`,
-the rationals, then reduces the deferred rows.  `sparse_nullspace` runs it
-over `_GF`, the integers mod the prime 2**61 - 1, on rows scaled to integers,
-and certifies the kernel over the integers (in the style of Dixon, Numer.
-Math. 1982): each kernel entry is lifted to a rational by rational
-reconstruction, and every lifted vector, scaled to integers, must have dot
-product exactly 0 with every input row, deferred ones too.  When a lift or
-the certificate fails it reduces the deferred rows and tries once more, then
-reads the kernel off the exact `rref`.  Both return Fraction entries.
-
-Before any elimination, `_eliminate` peels the columns that singleton rows
-force to zero, by propagation over the row supports alone (the singleton
-step of structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
-A row with one nonzero entry at column c forces x_c = 0, so the unit row
-e_c lies in the row space; striking c from every other row may leave a new
-singleton.  Since rows have no zero entries, the row space is spanned by
-{e_c : c dead} together with the live parts of the rows, and because RREF
-is unique, RREF(rows) is {e_c : c dead} joined with RREF(live parts): the
-output is exactly what elimination over every row would give.
+`_Field`.  A field supplies how a row becomes field entries, its axpy, how
+a row is scaled to a leading 1 given its lead, and its 1.  A row on pivot
+columns alone is deferred, not reduced.  `rref` runs it over `_Q`, the
+rationals, then reduces the deferred rows.  `sparse_nullspace` runs it over
+`_GF`, the integers mod the prime 2**61 - 1, on rows scaled to integers, and
+certifies the kernel over the integers (in the style of Dixon, Numer. Math.
+1982): each kernel entry is lifted to a rational by rational reconstruction,
+and every lifted vector, scaled to integers, must have dot product exactly 0
+with every input row, deferred ones too.  When a lift or the certificate
+fails it reduces the deferred rows and tries once more, then reads the kernel
+off the exact `rref`.  Both return Fraction entries.
 """
 from __future__ import annotations
 
@@ -55,34 +45,6 @@ def axpy(
         else:
             acc.pop(key, None)
     return acc
-
-
-def _forced_zero(rows: list[SparseRow]) -> set[int]:
-    """Columns that singleton propagation over the row supports forces to zero.
-
-    Each row keeps only its count of live columns and the sum of their
-    indices, so a row whose count drops to 1 names its last column by the sum.
-    """
-    count = [len(row) for row in rows]
-    total = [sum(row) for row in rows]
-    touching: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        for col in row:
-            touching.setdefault(col, []).append(i)
-    stack = [i for i, n in enumerate(count) if n == 1]
-    dead: set[int] = set()
-    while stack:
-        i = stack.pop()
-        if count[i] != 1:  # its last column died through another row
-            continue
-        col = total[i]
-        dead.add(col)
-        for j in touching[col]:
-            count[j] -= 1
-            total[j] -= col
-            if count[j] == 1:
-                stack.append(j)
-    return dead
 
 
 PRIME = (1 << 61) - 1  # the Mersenne prime the kernel is computed modulo
@@ -130,15 +92,15 @@ _GF = _Field(  # rows scaled to integers, so no denominator needs an inverse; en
     _axpy_mod, _normalized_mod, 1)
 
 
-def _reduce_into(pivots: dict[int, dict], row: dict, field: _Field) -> Optional[int]:
+def _reduce_into(pivots: dict[int, dict], row: dict, field: _Field) -> None:
     """Reduce `row` (field entries, consumed) by `pivots`; store what is left, if
-    anything, as a new pivot row and return its column.  Pivot rows hold no other
-    pivot column, so clearing each pivot column once, in any order, is enough."""
+    anything, as a new pivot row.  Pivot rows hold no other pivot column, so
+    clearing each pivot column once, in any order, is enough."""
     add = field.axpy
     for col in [c for c in row if c in pivots]:
         add(row, pivots[col], -row[col])
     if not row:
-        return None
+        return
     col = min(row)
     row = field.normalized(row, row[col])
     for prow in pivots.values():  # keep the basis reduced
@@ -146,31 +108,20 @@ def _reduce_into(pivots: dict[int, dict], row: dict, field: _Field) -> Optional[
         if factor is not None:
             add(prow, row, -factor)
     pivots[col] = row
-    return col
 
 
 def _eliminate(rows: list[SparseRow], field: _Field) -> tuple[dict[int, dict], list[SparseRow]]:
     """RREF over `field` of the rows that can add a pivot, as pivot column -> row,
     and the deferred rest, raw: `_reduce_into` over them completes RREF(rows).
 
-    Columns forced to zero by singleton rows (`_forced_zero`) become unit pivot
-    rows {c: field.one} without any arithmetic, and rows on them alone drop out.
-    A row on dead and pivot columns alone is deferred; only the live parts of
-    the other rows are eliminated."""
-    dead = _forced_zero(rows)
-    known = set(dead)
+    A row on pivot columns alone is deferred; every other row is reduced."""
     pivots: dict[int, dict] = {}
     deferred = []
     for raw in rows:
-        if known.issuperset(raw):
-            if not dead.issuperset(raw):
-                deferred.append(raw)
-            continue
-        if dead:
-            raw = {c: v for c, v in raw.items() if c not in dead}
-        known.add(_reduce_into(pivots, field.entries(raw), field))  # None: no new pivot
-    for col in dead:
-        pivots[col] = {col: field.one}
+        if raw.keys() <= pivots.keys():
+            deferred.append(raw)
+        else:
+            _reduce_into(pivots, field.entries(raw), field)
     return pivots, deferred
 
 
@@ -247,8 +198,7 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     deferred rows are reduced too and it tries once more, then falls back to
     the exact `rref`.  The certified result is exactly that basis:
 
-    - the rows reduced mod p (the dead unit rows and the live parts of some
-      rows) lie in the input's row space over Q, and their rank mod p <= their
+    - the rows reduced mod p are input rows, and their rank mod p <= their
       rank over Q, since a minor that is nonzero mod p is nonzero over Z; so
       there are at least as many free columns mod p as over Q;
     - the certified vectors lie in ker over Q, and they are independent: v_f

@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: exit codes, output formats, determinism."""
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -44,6 +47,14 @@ class TestList:
         entries = {e["name"]: e for e in data["algebras"]}
         assert entries["virasoro"]["parameters"] == []
         assert entries["L"]["parameters"] == ["lambda", "mu"]
+
+    def test_python_m_runs_from_a_checkout(self):
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-m", "lieverify", "list", "--format", "text"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "witt\n" in done.stdout
 
 
 class TestValidate:
@@ -204,7 +215,8 @@ class TestSolveDeriv:
         # delta=1 picks up the adjoint maps of the Witt algebra
         assert json.loads(out)["dims"] == {"-2": 1, "0": 1, "2": 1}
 
-    def test_failed_recheck_exit_1(self, capsys, monkeypatch):
+    @staticmethod
+    def _spoil_last_vector(monkeypatch):
         # doubling one entry of the identity map leaves a nonzero residual
         nullspace = linalg.sparse_nullspace
 
@@ -214,12 +226,26 @@ class TestSolveDeriv:
             return vectors
 
         monkeypatch.setattr(linalg, "sparse_nullspace", spoiled)
-        code, out, _ = run(capsys, [
+
+    def test_failed_recheck_exit_1(self, capsys, monkeypatch):
+        self._spoil_last_vector(monkeypatch)
+        code, out, err = run(capsys, [
             "solve-deriv", "builtin:so_hat", "--degrees", "0", "--neq", "4", "--ncore", "1",
         ])
         assert code == 1
         (degree,) = json.loads(out)["degrees"]
         assert degree["interior_dim"] == 1 and degree["residual_checked"] is False
+        assert err == "degree 0: residual re-check failed\n"
+
+    def test_failed_recheck_is_named_in_text_mode(self, capsys, monkeypatch):
+        self._spoil_last_vector(monkeypatch)
+        code, out, err = run(capsys, [
+            "solve-deriv", "builtin:so_hat", "--degrees", "-1/2..0", "--neq", "4", "--ncore", "1",
+            "--format", "text",
+        ])
+        assert code == 1
+        assert "degree 0: dim 1" in out
+        assert err == "degree 0: residual re-check failed\n"
 
     def test_decimal_exponent_accepted(self, capsys):
         code, out, _ = run(capsys, [
@@ -316,16 +342,35 @@ def test_oversized_neq_exit_2_before_any_work(capsys, monkeypatch, argv, neq, sh
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate", "builtin:witt", "--neq", "9" * 5000],
-    ["solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "9" * 5000],
+    ["validate", "builtin:witt", "--neq", "9" + "x" * 4999],
+    ["solve-deriv", "builtin:witt", "--degrees", "0", "--neq", "2", "--ncore", "x" * 4999 + "9"],
     _TPA_LT1 + ["--neq", "x" * 5000],
 ])
 def test_oversized_window_text_is_cut(capsys, argv):
-    # argparse used to echo the whole value; int() refuses over 4 300 digits
+    # argparse used to echo the whole value
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "expected an integer, got '" in err and "… (5000 characters)" in err
     assert len(err.encode()) < 600
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_TPA_LT1 + ["--alpha", "9" * 5000 + ":1"],
+     "error: invalid --alpha offset: an integer of about 5000 digits exceeds the maximum 1000\n"),
+    (_TPA_LT1 + ["--beta", "-" + "9" * 1001 + ":1"],
+     "error: invalid --beta offset: an integer of about 1001 digits exceeds the maximum 1000\n"),
+    (_SOLVE_WITT + ["--expect", "0=" + "9" * 5000],
+     "error: invalid --expect dim: an integer of about 5000 digits exceeds the maximum 1000\n"),
+    (["validate", "builtin:witt", "--neq", "9" * 5000],
+     "argument --neq: an integer of about 5000 digits exceeds the maximum 1000\n"),
+    (_SOLVE_WITT + ["--ncore", "1" * 4301],
+     "argument --ncore: an integer of about 4301 digits exceeds the maximum 1000\n"),
+], ids=["alpha", "beta", "expect", "neq", "ncore"])
+def test_long_integer_is_named_by_its_size(capsys, argv, message):
+    # int() refuses more than 4 300 digits with the ValueError of a non-integer
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(message) and "must be an integer" not in err
 
 
 def test_neq_cap_admits_every_documented_window(capsys):
@@ -342,9 +387,9 @@ def test_neq_cap_admits_every_documented_window(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_SOLVE_WITT + ["--expect", "0=" + "9" * 5000], "--expect dim must be an integer, got '999"),
+    (_SOLVE_WITT + ["--expect", "0=999" + "x" * 4997], "--expect dim must be an integer, got '999"),
     (_SOLVE_WITT + ["--delta", "x" * 5000], "invalid --delta 'xxx"),
-    (_TPA_LT1 + ["--alpha", "9" * 5000 + ":1"], "--alpha offset must be an integer, got '999"),
+    (_TPA_LT1 + ["--alpha", "999" + "x" * 4997 + ":1"], "--alpha offset must be an integer, got '999"),
     (["validate", "builtin:Ltilde1", "--param", "x" * 5000], "malformed parameter 'xxx"),
     (["validate", "builtin:" + "x" * 5000], "unknown catalog algebra 'xxx"),
     (["validate", "builtin:Ltilde1", "--param", "x" * 5000 + "=1"],

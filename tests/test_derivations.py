@@ -178,8 +178,8 @@ def test_modular_kernel_equals_exact_route(key):
 
 
 def test_so_hat_degree_0_reduces_only_the_rows_that_can_add_a_pivot(so_hat, monkeypatch):
-    """At window (8, 3) the degree-0 system of so_hat reduces 193 live rows mod p and
-    defers 1 462 whose columns are all dead or pivots already.  The certificate, which
+    """At window (8, 3) the degree-0 system of so_hat reduces 411 rows mod p and
+    defers 4 619 whose columns are all pivots already.  The certificate, which
     also checks the deferred rows, passes on the first try: no retry, no exact route."""
     eliminate, deferred = linalg._eliminate, []
 
@@ -194,8 +194,8 @@ def test_so_hat_degree_0_reduces_only_the_rows_that_can_add_a_pivot(so_hat, monk
             mock.patch.object(linalg, "rref", wraps=linalg.rref) as exact:
         result = solve_degree(so_hat, 0, Window.displayed(8, 3))
     assert result.interior_dim == 1 and result.residual_checked
-    assert reduce.call_count == 193
-    assert deferred == [1462]
+    assert reduce.call_count == 411
+    assert deferred == [4619]
     certified.assert_called_once()
     exact.assert_not_called()
 
@@ -317,12 +317,42 @@ def test_so_hat_assembles_the_outer_pairs_only_when_a_core_entry_is_free(so_hat,
     # one core column left free by the peel is enough to need the outer pairs
     unknowns = build_unknowns(so_hat, 1, window, frame)
     core = [c for c, u in enumerate(unknowns) if derivations._is_core(u, window.n_core2)]
-    peel = linalg._forced_zero
+    peel = derivations._forced_zero
     for free in (core[0], core[-1]):
-        monkeypatch.setattr(linalg, "_forced_zero", lambda rows: peel(rows) - {free})
+        monkeypatch.setattr(derivations, "_forced_zero", lambda rows: peel(rows) - {free})
         assembled.clear()
         assert solve_degree(so_hat, 1, window, F(1, 2), frame).interior_dim == 0
         assert assembled == [frame.pairs[:432], frame.pairs[432:]]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("so_hat", None), ("Ltilde1", {"lambda": F(1), "mu": F(1, 4)}),
+])
+def test_each_degree_peels_once(name, params, monkeypatch):
+    """The singleton peel is the solver's stage test and nothing else: one call per
+    degree, whether the degree is settled in stage one or not, and none from
+    `sparse_nullspace`."""
+    spec = catalog.builtin(name, params)
+    peel, nullspace = derivations._forced_zero, linalg.sparse_nullspace
+    calls, inside = [], []
+
+    def spy_peel(rows):
+        calls.append(len(rows))
+        return peel(rows)
+
+    def spy_nullspace(rows, ncols):
+        before = len(calls)
+        vectors = nullspace(rows, ncols)
+        inside.append(len(calls) - before)
+        return vectors
+
+    monkeypatch.setattr(derivations, "_forced_zero", spy_peel)
+    monkeypatch.setattr(linalg, "sparse_nullspace", spy_nullspace)
+    degrees2 = range(-4, 5)
+    solve_derivations(spec, degrees2, Window.displayed(4, 1))
+    assert len(calls) == len(degrees2)
+    assert inside == [0] * len(degrees2)
+    assert not hasattr(linalg, "_forced_zero")
 
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):

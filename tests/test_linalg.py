@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieverify import linalg
+from lieverify import derivations, linalg
 
 from _oracle import dense_nullspace, dense_rref, modular_rref
 
@@ -140,8 +140,10 @@ def _singleton_chain_systems(draw, values=_NONZERO):
 @settings(max_examples=80, deadline=None)
 @given(_singleton_chain_systems())
 def test_peeled_rref_matches_dense_oracle(system):
+    """The solver's stage test against the exact RREF: every column the peel
+    forces to zero is a unit row of RREF(rows), so it is 0 on the whole kernel."""
     rows, ncols, chain = system
-    dead = linalg._forced_zero(list(rows))
+    dead = derivations._forced_zero(list(rows))
     assert chain <= dead
     pivots = linalg.rref(rows)
     for col in dead:
@@ -157,7 +159,7 @@ def test_singleton_and_bidiagonal_rows_kill_every_column():
     ncols = 7
     rows = [{c: F(c + 1), c + 1: F(-2, c + 1)} for c in range(ncols - 1)]
     rows.append({ncols - 1: F(3)})  # the singleton comes last
-    assert linalg._forced_zero(rows) == set(range(ncols))
+    assert derivations._forced_zero(rows) == set(range(ncols))
     assert linalg.rref(rows) == {c: {c: F(1)} for c in range(ncols)}
     assert len(linalg.rref(rows)) == ncols
     assert linalg.sparse_nullspace(rows, ncols) == []
@@ -249,7 +251,7 @@ def test_both_fields_give_the_same_rref(rows):
     30**6 * 6**3 < PRIME (Hadamard), so a minor is nonzero mod PRIME exactly
     when it is over Q.  `_eliminate` over `_GF`, then its deferred rows
     (`modular_rref`), finds the pivot columns `rref` finds, and every exact
-    entry, the dead columns' unit rows too, reduces mod PRIME to the modular one."""
+    entry reduces mod PRIME to the modular one."""
     exact = linalg.rref(rows)
     modular = modular_rref(rows)
     assert sorted(exact) == sorted(modular)
