@@ -23,7 +23,7 @@ from .core import (
     jacobi_terms,
 )
 from .poly import Poly
-from .dsl import DslError, parse_algebra, render_algebra, structurally_equal
+from .dsl import DslError, parse_algebra, render_algebra
 from .catalog import CaseLabel, CaseViolation, builtin, catalog_names, classify_case
 from .derivations import (
     DerivationReport,
@@ -78,7 +78,6 @@ __all__ = [
     "render_products",
     "solve_degree",
     "solve_derivations",
-    "structurally_equal",
     "theorem_product",
     "__version__",
 ]

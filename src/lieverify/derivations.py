@@ -30,6 +30,7 @@ lists the window's pairs once per solve.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -371,8 +372,8 @@ def solve_degree(
         for c, v in linalg._as_ints(full).items():
             src, tgt = unknowns[c]
             images.setdefault(src, {})[tgt] = v
-        image = {src: tuple(terms.items()) for src, terms in images.items()}
-        checked &= not any(residual_terms(spec, lambda s: image.get(s, ()), x, y, p, q)
+        image = defaultdict(tuple, {src: tuple(terms.items()) for src, terms in images.items()})
+        checked &= not any(residual_terms(spec, image.__getitem__, x, y, p, q)
                            for x, y in itertools.combinations(symbols, 2))
         interior = {unknowns[c]: v for c, v in full.items() if c >= outer}
         generators.append(Generator(_describe(interior), interior))

@@ -508,8 +508,3 @@ def render_algebra(spec: AlgebraSpec) -> str:
         lines.append("central " + " ".join(centrals))
     lines.extend(_rule_lines("bracket", spec.rules, spec.family_map, antisymmetric=True))
     return "\n".join(lines) + "\n"
-
-
-def structurally_equal(a: AlgebraSpec, b: AlgebraSpec) -> bool:
-    """Equality up to canonical form (ignores the params metadata)."""
-    return render_algebra(a) == render_algebra(b)

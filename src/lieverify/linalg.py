@@ -4,21 +4,24 @@ Vectors are dicts key -> Fraction (or int) with no zero entries.  `axpy` is
 the one accumulation kernel every module uses.  `_eliminate` is the one
 elimination routine: incremental reduced row echelon form on sparse rows
 (dict column -> entry) with deterministic lowest-column pivoting, over a
-`_Field`.  A field supplies how a row becomes field entries, its axpy, how
-a row is scaled to a leading 1 given its lead, and its 1.  A row on pivot
-columns alone is deferred, not reduced.  `rref` runs it over `_Q`, the
-rationals, then reduces the deferred rows.  `sparse_nullspace` runs it over
-`_GF`, the integers mod the prime 2**61 - 1, on rows scaled to integers, and
-certifies the kernel over the integers (in the style of Dixon, Numer. Math.
-1982): each kernel entry is lifted to a rational by rational reconstruction,
-and every lifted vector, scaled to integers, must have dot product exactly 0
-with every input row, deferred ones too.  When a lift or the certificate
-fails it reduces the deferred rows and tries once more, then reads the kernel
-off the exact `rref`.  Both return Fraction entries.
+`_Field`, into an `_Echelon`, which indexes each other column by the pivot
+rows that hold it, so a new pivot updates only those rows.  A field supplies
+how a row becomes field entries, its axpy, how a row is scaled to a leading 1
+given its lead, and its 1.  A row on pivot columns alone is deferred, not
+reduced.  `rref` runs it over `_Q`, the rationals, then reduces the deferred
+rows.  `sparse_nullspace` runs it over `_GF`, the integers mod the prime
+2**61 - 1, on rows scaled to integers, and certifies the kernel over the
+integers (in the style of Dixon, Numer. Math. 1982): each kernel entry is
+lifted to a rational by rational reconstruction, and every lifted vector,
+scaled to integers, must have dot product exactly 0 with every input row as
+given, deferred ones too.  A failed first certificate reduces the deferred
+rows it rejects, a second failure or a failed lift the rest; a third failure
+takes the exact `rref`.  Both return Fraction entries.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
@@ -92,36 +95,49 @@ _GF = _Field(  # rows scaled to integers, so no denominator needs an inverse; en
     _axpy_mod, _normalized_mod, 1)
 
 
-def _reduce_into(pivots: dict[int, dict], row: dict, field: _Field) -> None:
-    """Reduce `row` (field entries, consumed) by `pivots`; store what is left, if
-    anything, as a new pivot row.  Pivot rows hold no other pivot column, so
-    clearing each pivot column once, in any order, is enough."""
-    add = field.axpy
-    for col in [c for c in row if c in pivots]:
-        add(row, pivots[col], -row[col])
-    if not row:
-        return
-    col = min(row)
-    row = field.normalized(row, row[col])
-    for prow in pivots.values():  # keep the basis reduced
-        factor = prow.get(col)
-        if factor is not None:
-            add(prow, row, -factor)
-    pivots[col] = row
+class _Echelon(dict):
+    """A reduced row echelon form over `field`, as pivot column -> row, and
+    `holders`: each other column -> the pivot columns whose rows hold it."""
+
+    def __init__(self, field: _Field) -> None:
+        super().__init__()
+        self.field = field
+        self.holders: defaultdict[int, set[int]] = defaultdict(set)
+
+    def reduce(self, row: dict) -> None:
+        """Reduce `row` (field entries, consumed); store what is left, if anything,
+        as a new pivot row.  Pivot rows hold no other pivot column, so clearing
+        each pivot column once, in any order, is enough."""
+        add, holders = self.field.axpy, self.holders
+        for col in [c for c in row if c in self]:
+            add(row, self[col], -row[col])
+        if not row:
+            return
+        col = min(row)
+        row = self.field.normalized(row, row[col])
+        rest = [c for c in row if c != col]
+        for pcol in holders.pop(col, ()):  # keep the basis reduced
+            prow = self[pcol]
+            add(prow, row, -prow[col])
+            for c in rest:  # prow may have gained c (fill-in) or lost it (cancellation)
+                (holders[c].add if c in prow else holders[c].discard)(pcol)
+        for c in rest:
+            holders[c].add(col)
+        self[col] = row
 
 
-def _eliminate(rows: list[SparseRow], field: _Field) -> tuple[dict[int, dict], list[SparseRow]]:
-    """RREF over `field` of the rows that can add a pivot, as pivot column -> row,
-    and the deferred rest, raw: `_reduce_into` over them completes RREF(rows).
+def _eliminate(rows: list[SparseRow], field: _Field) -> tuple[_Echelon, list[SparseRow]]:
+    """RREF over `field` of the rows that can add a pivot, and the deferred rest,
+    raw: `reduce` of their field entries completes RREF(rows).
 
     A row on pivot columns alone is deferred; every other row is reduced."""
-    pivots: dict[int, dict] = {}
+    pivots = _Echelon(field)
     deferred = []
     for raw in rows:
         if raw.keys() <= pivots.keys():
             deferred.append(raw)
         else:
-            _reduce_into(pivots, field.entries(raw), field)
+            pivots.reduce(field.entries(raw))
     return pivots, deferred
 
 
@@ -130,7 +146,7 @@ def rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     entries, none zero; the returned rows hold Fractions."""
     pivots, deferred = _eliminate(list(rows), _Q)
     for row in deferred:
-        _reduce_into(pivots, dict(row), _Q)
+        pivots.reduce(dict(row))
     return pivots
 
 
@@ -153,24 +169,24 @@ def _lift(a: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def _certified(vectors: list[SparseRow], rows: list[SparseRow]) -> bool:
-    """Whether every vector, scaled to integers, has dot product 0 with every row, in int."""
-    if not vectors:
-        return True
+def _certified(vectors: list[SparseRow], rows: list[SparseRow]) -> list[SparseRow]:
+    """The rows with a nonzero dot product with some vector, each vector scaled to
+    integers and each row as given: in int for int rows, exact for Fraction ones."""
     touching: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(vectors):
         for c, v in _as_ints(vec).items():
             touching.setdefault(c, []).append((k, v))
+    rejected = []
     for row in rows:
         if touching.keys().isdisjoint(row):
             continue
         dots: dict[int, int] = {}
-        for c, a in _as_ints(row).items():
+        for c, a in row.items():
             for k, v in touching.get(c, ()):
                 dots[k] = dots.get(k, 0) + a * v
         if any(dots.values()):
-            return False
-    return True
+            rejected.append(row)
+    return rejected
 
 
 def _kernel_basis(pivots: Mapping[int, Mapping], ncols: int, field: _Field) -> list[dict]:
@@ -194,9 +210,10 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     It is computed mod PRIME and certified over Z: `_eliminate` reduces over
     `_GF` the rows that can add a pivot, each read-off entry is lifted by
     `_lift`, and every lifted vector, scaled to integers, must have dot product
-    exactly 0 with every input row.  If a lift or the certificate fails, the
-    deferred rows are reduced too and it tries once more, then falls back to
-    the exact `rref`.  The certified result is exactly that basis:
+    exactly 0 with every input row.  If the first certificate fails, the
+    deferred rows it rejects are reduced and it tries again; if that fails,
+    or a lift fails, the rest are reduced and it tries once more; then it
+    falls back to the exact `rref`.  The certified result is exactly that basis:
 
     - the rows reduced mod p are input rows, and their rank mod p <= their
       rank over Q, since a minor that is nonzero mod p is nonzero over Z; so
@@ -213,18 +230,18 @@ def sparse_nullspace(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     """
     rows = list(rows)
     pivots, deferred = _eliminate(rows, _GF)
-    while True:
-        vectors = []
-        for vec in _kernel_basis(pivots, ncols, _GF):
-            lifted = {c: _lift(v % PRIME) for c, v in vec.items()}
-            if None in lifted.values():
-                break
-            vectors.append(lifted)
-        else:
-            if _certified(vectors, rows):
-                return vectors
+    for first in (True, False, False):
+        vectors = [{c: _lift(v % PRIME) for c, v in vec.items()}
+                   for vec in _kernel_basis(pivots, ncols, _GF)]
+        lifted = not any(None in vec.values() for vec in vectors)
+        rejected = _certified(vectors, rows) if lifted else deferred
+        if lifted and not rejected:
+            return vectors
         if not deferred:
-            return _kernel_basis(rref(rows), ncols, _Q)
+            break
+        retry = set(map(id, rejected if first else deferred))
         for row in deferred:
-            _reduce_into(pivots, _GF.entries(row), _GF)
-        deferred = []
+            if id(row) in retry:
+                pivots.reduce(_GF.entries(row))
+        deferred = [row for row in deferred if id(row) not in retry]
+    return _kernel_basis(rref(rows), ncols, _Q)

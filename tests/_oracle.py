@@ -26,6 +26,7 @@ and reduces the kernel's core projection with a second RREF (`interior_basis`,
 on the core columns in basis order), beside `solve_degree`, which assembles
 the core window's pairs first and reads the interior basis off the kernel.
 `dense_rref` reduces a dense matrix by plain Gauss-Jordan, for projections.
+`structurally_equal` compares two algebras by their canonical .liealg text.
 `modular_rref` is the whole RREF mod PRIME: `_eliminate` over `_GF`, then
 its deferred rows, as `sparse_nullspace` completes it when it retries.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
@@ -43,6 +44,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from lieverify.core import CENTRAL, BasisSymbol, Element, Report, bracket, live_check
+from lieverify.dsl import render_algebra
 from lieverify.derivations import (
     _is_core,
     assemble_system,
@@ -50,7 +52,7 @@ from lieverify.derivations import (
     derivation_residual,
     window_frame,
 )
-from lieverify.linalg import _GF, _eliminate, _reduce_into, rref, sparse_nullspace
+from lieverify.linalg import _GF, _eliminate, rref, sparse_nullspace
 from lieverify.tpa import ProductSpec
 
 F = Fraction
@@ -153,11 +155,16 @@ def dense_rref(rows):
     return rows[:rank]
 
 
+def structurally_equal(a, b):
+    """Equality up to canonical form (ignores the params metadata)."""
+    return render_algebra(a) == render_algebra(b)
+
+
 def modular_rref(rows):
     """RREF mod PRIME of sparse rows, as pivot column -> row with entries in [1, PRIME)."""
     pivots, deferred = _eliminate(list(rows), _GF)
     for row in deferred:
-        _reduce_into(pivots, _GF.entries(row), _GF)
+        pivots.reduce(_GF.entries(row))
     return pivots
 
 

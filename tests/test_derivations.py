@@ -189,7 +189,8 @@ def test_so_hat_degree_0_reduces_only_the_rows_that_can_add_a_pivot(so_hat, monk
         return pivots, rest
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
-    with mock.patch.object(linalg, "_reduce_into", wraps=linalg._reduce_into) as reduce, \
+    with mock.patch.object(linalg._Echelon, "reduce", autospec=True,
+                           side_effect=linalg._Echelon.reduce) as reduce, \
             mock.patch.object(linalg, "_certified", wraps=linalg._certified) as certified, \
             mock.patch.object(linalg, "rref", wraps=linalg.rref) as exact:
         result = solve_degree(so_hat, 0, Window.displayed(8, 3))
@@ -197,6 +198,31 @@ def test_so_hat_degree_0_reduces_only_the_rows_that_can_add_a_pivot(so_hat, monk
     assert reduce.call_count == 411
     assert deferred == [4619]
     certified.assert_called_once()
+    exact.assert_not_called()
+
+
+def test_ltilde1_degree_2_retry_reduces_only_the_rejected_rows(lt1, monkeypatch):
+    """At window (8, 3) the first certificate of Ltilde1(1, 1/4) at degree 2 (g2 = 4) rejects
+    6 rows, all of them deferred.  The retry reduces those 6 rows mod p and no other,
+    and the second certificate passes: the exact route is never taken."""
+    events = []
+    certified, reduce = linalg._certified, linalg._Echelon.reduce
+
+    def spy_certified(vectors, rows):
+        events.append(len(rejected := certified(vectors, rows)))
+        return rejected
+
+    def spy_reduce(self, row):
+        events.append("reduce")
+        reduce(self, row)
+
+    monkeypatch.setattr(linalg, "_certified", spy_certified)
+    monkeypatch.setattr(linalg._Echelon, "reduce", spy_reduce)
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as exact:
+        result = solve_degree(lt1, 4, Window.displayed(8, 3))
+    assert result.interior_dim == 1 and result.residual_checked
+    first = next(i for i, e in enumerate(events) if e != "reduce")
+    assert events[first:] == [6, *["reduce"] * 6, 0]
     exact.assert_not_called()
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieverify import DslError, catalog, parse_algebra, render_algebra, structurally_equal
+from _oracle import structurally_equal
+from lieverify import DslError, catalog, parse_algebra, render_algebra
 from lieverify.core import CENTRAL, BasisSymbol, Element, bracket
 from lieverify.tpa import parse_products
 

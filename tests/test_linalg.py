@@ -318,3 +318,69 @@ def test_core_vectors_are_the_rref_of_the_projection(system):
     got = [[vec.get(layout.index(j), F(0)) for j in range(k, ncols)] for vec in core]
     kernel = dense_nullspace([[F(v) for v in row] for row in rows], ncols)
     assert got == dense_rref([vec[k:] for vec in kernel])
+
+
+def test_certificate_rejects_a_fraction_row_with_a_fractional_dot_product():
+    """Rows are dotted as given: 1/3 * 1 is a nonzero Fraction, so the first row is
+    rejected; the second dots to 1/3 - 1/3 = 0 and the third, in int, to 0.  Only
+    the vector is scaled to integers."""
+    vectors = [{0: F(1, 2), 1: F(1, 2)}]
+    rows = [{0: F(1, 3), 2: F(5, 7)}, {0: F(1, 3), 1: F(-1, 3)}, {0: 4, 1: -4}]
+    with mock.patch.object(linalg, "_as_ints", wraps=linalg._as_ints) as as_ints:
+        assert linalg._certified(vectors, rows) == [rows[0]]
+    as_ints.assert_called_once_with(vectors[0])
+
+
+def _recomputed_holders(pivots):
+    holders = {}
+    for pcol, prow in pivots.items():
+        for c in prow:
+            if c != pcol:
+                holders.setdefault(c, set()).add(pcol)
+    return holders
+
+
+@st.composite
+def _fill_in_systems(draw):
+    """Rows with entries in [-2, 2] on 6 columns, followed by sums and differences
+    of earlier rows, plus a unit row or two, all shuffled: every minor is below
+    PRIME, while new pivots fill pivot rows in and combinations cancel entries."""
+    base = draw(st.lists(
+        st.dictionaries(st.integers(0, 5), st.integers(-2, 2).filter(bool), min_size=1, max_size=6),
+        min_size=1, max_size=6))
+    rows = list(base)
+    for i, j, sign in draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                              st.integers(0, len(base) - 1),
+                                              st.sampled_from((1, -1))),
+                                    max_size=4)):
+        combo = linalg.axpy(dict(base[i]), base[j], sign)
+        if combo:
+            rows.append(combo)
+    rows += [{c: 1} for c in draw(st.lists(st.integers(0, 5), max_size=2))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fill_in_systems(), st.sampled_from(["Q", "GF"]))
+@example([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 2}], "Q")
+@example([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 2}], "GF")
+def test_holders_index_the_pivot_rows_that_hold_each_column(rows, name):
+    """After `_eliminate` and its deferred rows, over either field: `holders` is the
+    index recomputed from scratch, no pivot row holds another pivot column, and the
+    rows are the dense oracle's RREF (reduced mod PRIME over `_GF`).  In the example
+    the pivot at 1 cancels column 2 in row 0, the pivot at 2 fills column 3 into
+    row 1, and the pivot at 3 clears it again."""
+    field = {"Q": linalg._Q, "GF": linalg._GF}[name]
+    pivots, deferred = linalg._eliminate(rows, field)
+    for row in deferred:
+        pivots.reduce(field.entries(row))
+    assert {c: s for c, s in pivots.holders.items() if s} == _recomputed_holders(pivots)
+    for pcol, prow in pivots.items():
+        assert min(prow) == pcol and prow[pcol] == 1
+        assert not any(other in prow for other in pivots if other != pcol)
+    want = {}
+    for row in dense_rref(_dense_rows(rows, 6)):
+        vals = {c: v for c, v in enumerate(row) if v}
+        want[min(vals)] = vals if name == "Q" else {
+            c: v.numerator * pow(v.denominator, -1, P) % P for c, v in vals.items()}
+    assert pivots == want
