@@ -12,11 +12,11 @@ denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
 ``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
 the one bracket memo of every check and of the solver.  A ``Fraction`` is built
 only to divide by s: ``live_check`` for a violation, ``bracket``, ``jacobi_terms``.
-``composed`` sums terms ((a op b) op c) on one such memo: it is the kernel of
-Jacobi and of ``tpa``'s associativity.  ``reach`` and ``composes`` tell from the
-families alone whether two rules can compose to a nonzero term; the checks form only
-the tuples and terms that can (``live_window``, ``composed_plans``) and count the
-rest in closed form.
+``composed``, the kernel of Jacobi and of ``tpa``'s associativity, sums the placed
+terms ((t[i] op t[j]) op t[k]) of each of a check's tuples t on one such memo, in one
+pass, and yields the nonzero sums.  ``reach`` and ``composes`` tell from the families
+alone whether two rules can compose to a nonzero term; the checks form only the tuples
+and terms that can (``live_window``, ``composed_plans``) and count the rest in closed form.
 """
 from __future__ import annotations
 
@@ -390,7 +390,9 @@ def eval_rule(
         if fires_at is not None and fires_at != mv + nv:
             continue
         sym = BasisSymbol(target, None if base is None else 2 * (mv + nv) + base)
-        value = sum(c * mv ** em * nv ** en for em, en, c in monomials)
+        value = 0
+        for em, en, c in monomials:
+            value += c * mv ** em * nv ** en
         out[sym] = out.get(sym, 0) + sign * value
     return {sym: value for sym, value in out.items() if value}
 
@@ -399,13 +401,12 @@ def bracket_symbols(
     spec: AlgebraSpec, x: BasisSymbol, y: BasisSymbol
 ) -> tuple[tuple[BasisSymbol, int], ...]:
     """scale * [x, y] for basis symbols as (symbol, int) pairs, memoized in `spec._cache`."""
-    key = (x, y)
-    terms = spec._cache.get(key)
-    if terms is None:
-        spec.family(x.family)  # raise StructureError on unknown families
-        spec.family(y.family)
-        out = eval_rule(spec._pair, x, y, antisymmetric=True)
-        terms = spec._cache[key] = tuple(out.items())
+    if (terms := spec._cache.get((x, y))) is None:
+        terms = tuple(eval_rule(spec._pair, x, y, antisymmetric=True).items())
+        if not terms:  # `add_rule` gives no rule an unknown family: look only now
+            spec.family(x.family)
+            spec.family(y.family)
+        spec._cache[x, y] = terms
     return terms
 
 
@@ -436,13 +437,10 @@ def bracket(spec: AlgebraSpec, x: Element | BasisSymbol, y: Element | BasisSymbo
 
 def live_check(check: str, count: int, found: Iterable, message: str, divisor: int = 1) -> Report:
     """The report on `count` window tuples, of which only the (t, residual) of `found` are
-    evaluated (the rest are zero by construction): a violation for each nonzero
-    residual(*t), which is `divisor` times the true one and divided back only then."""
-    violations = []
-    for t, residual in found:
-        if r := residual(*t):
-            violations.append(Violation(t, Element(_over(r, divisor)), message))
-    return Report(check, tuple(violations), count)
+    evaluated (the rest are zero by construction): a violation for each nonzero residual,
+    which is `divisor` times the true one and divided back only then."""
+    violations = tuple(Violation(t, Element(_over(r, divisor)), message) for t, r in found if r)
+    return Report(check, violations, count)
 
 
 def live_window(symbols: Sequence[BasisSymbol], live: Mapping, after: tuple) -> Iterator[tuple]:
@@ -493,43 +491,42 @@ def composes(outer: Mapping, inner: Mapping, a: str, b: str, c: str) -> bool:
     return any(inner.get(f, {}).get(c) for f in outer.get(a, {}).get(b, ()))
 
 
-def composed(owner, fill: Callable, terms: Iterable[tuple]) -> dict[BasisSymbol, int]:
-    """The sum of sign * ((a op b) op c) over the terms (a, b, c, sign), in `int`.
+def composed(owner, fill: Callable, items: Iterable[tuple]) -> Iterator[tuple]:
+    """(t, the sum of sign * ((t[i] op t[j]) op t[k]) over the placements (i, j, k, sign))
+    for each (t, placements) of `items` where that sum, in `int`, is nonzero.
 
-    `owner._cache` memoizes s * (a op b) as (symbol, int) pairs: `bracket_symbols`
-    fills a spec's, `tpa.product_symbols` a product's.  It is read directly on a hit,
-    a memoized () too, and `fill(owner, a, b)` runs only on a miss.  The sum is s**2
-    times the true one.  Each term is formed as written: nothing of the op is assumed.
-    """
-    acc: dict[BasisSymbol, int] = {}
-    get = acc.get
-    memo = owner._cache
-    for a, b, c, sign in terms:
-        if (outer := memo.get((a, b))) is None:
-            outer = fill(owner, a, b)
-        for sym, coeff in outer:
-            coeff *= sign
-            if (inner := memo.get((sym, c))) is None:
-                inner = fill(owner, sym, c)
-            for out, value in inner:
-                acc[out] = get(out, 0) + coeff * value
-    return {out: value for out, value in acc.items() if value}
+    `owner._cache` memoizes s * (a op b) as (symbol, int) pairs: `bracket_symbols` fills a
+    spec's, `tpa.product_symbols` a product's.  It is read directly on a hit, a memoized ()
+    too, and `fill(owner, a, b)` runs only on a miss.  The sum is s**2 times the true one.
+    Each term is formed as written: nothing of the op is assumed."""
+    memo = owner._cache.get
+    for t, placements in items:
+        acc: dict[BasisSymbol, int] = {}
+        get = acc.get
+        for i, j, k, sign in placements:
+            c = t[k]
+            if (outer := memo((t[i], t[j]))) is None:
+                outer = fill(owner, t[i], t[j])
+            for sym, coeff in outer:
+                coeff *= sign
+                if (inner := memo((sym, c))) is None:
+                    inner = fill(owner, sym, c)
+                for out, value in inner:
+                    acc[out] = get(out, 0) + coeff * value
+        if any(acc.values()):
+            yield t, {out: value for out, value in acc.items() if value}
 
 
-def composed_plans(owner, fill: Callable, terms: Callable) -> dict:
-    """family triple -> residual x, y, z -> `composed`(owner, fill, the terms (a, b, c, sign)
-    of terms(x, y, z) whose families compose on `owner._pair`), for each family triple
-    where one does; every term left out is zero by construction.  `terms` only places its
-    arguments, so terms on the families tells which terms compose."""
+def composed_plans(owner, placements: tuple) -> dict:
+    """family triple f -> the placements (i, j, k, sign) of `placements` whose families
+    f[i], f[j] and f[k] compose on `owner._pair`, for each f where one does; every
+    placement left out gives zero by construction."""
     table = reach(owner._pair)
     plans = {}
     for f in itertools.product(table, repeat=3):
-        keep = tuple(composes(table, table, a, b, c) for a, b, c, _ in terms(*f))
-        if all(keep):
-            plans[f] = lambda x, y, z: composed(owner, fill, terms(x, y, z))
-        elif any(keep):
-            plans[f] = lambda x, y, z, keep=keep: composed(
-                owner, fill, tuple(itertools.compress(terms(x, y, z), keep)))
+        if kept := tuple((i, j, k, sign) for i, j, k, sign in placements
+                         if composes(table, table, f[i], f[j], f[k])):
+            plans[f] = kept
     return plans
 
 
@@ -545,15 +542,14 @@ def check_skew(spec: AlgebraSpec, window: Window) -> Report:
     symbols = list(spec.basis_symbols(window.n_eq2))
     memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     read = lambda x, y: t if (t := memo.get((x, y))) is not None else bracket_symbols(spec, x, y)
-    residual = lambda x, y: axpy(dict(read(x, y)), dict(read(y, x)))
-    ruled = {(f, f): residual for f, partners in reach(spec._pair).items() if f in partners}
-    return live_check("skew", math.comb(len(symbols) + 1, 2),
-                      live_window(symbols, ruled, (None, 0)), "skew-symmetry broken", spec.scale)
+    ruled = {(f, f): None for f, partners in reach(spec._pair).items() if f in partners}
+    found = (((x, y), axpy(dict(read(x, y)), dict(read(y, x))))
+             for (x, y), _ in live_window(symbols, ruled, (None, 0)))
+    return live_check("skew", math.comb(len(symbols) + 1, 2), found, "skew-symmetry broken",
+                      spec.scale)
 
 
-def _jacobi_rotations(x, y, z) -> tuple:
-    """The terms [[x,y],z] + [[y,z],x] + [[z,x],y] of J(x,y,z) for `composed`."""
-    return (x, y, z, 1), (y, z, x, 1), (z, x, y, 1)
+_jacobi_rotations = ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1))  # [[x,y],z] + [[y,z],x] + [[z,x],y]
 
 
 def jacobi_terms(
@@ -564,7 +560,8 @@ def jacobi_terms(
     Each of x, y and z heads an outer bracket, so an unknown family raises
     `StructureError` from `bracket_symbols`.
     """
-    return _over(composed(spec, bracket_symbols, _jacobi_rotations(x, y, z)), spec.scale ** 2)
+    found = dict(composed(spec, bracket_symbols, [((x, y, z), _jacobi_rotations)]))
+    return _over(found.get((x, y, z), {}), spec.scale ** 2)
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
@@ -573,13 +570,13 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     Given bilinearity and antisymmetry, residuals with a repeated symbol
     vanish identically, so distinct triples suffice.  The cyclic terms are
     formed as written: on a skew-broken bracket the sum is still J, not a
-    multiple of it.  Only a triple with a term whose families compose is formed,
-    and only those terms reach the kernel (`composed_plans`); `pairs_checked`
+    multiple of it.  Only a triple with a term whose families compose is formed, and
+    only those terms reach the one `composed` pass (`composed_plans`); `pairs_checked`
     counts every triple, C(n, 3) for n symbols.
     """
     symbols = list(spec.basis_symbols(window.n_eq2))
-    plans = composed_plans(spec, bracket_symbols, _jacobi_rotations)
-    return live_check("jacobi", math.comb(len(symbols), 3), live_window(symbols, plans, (None, 1, 1)),
+    live = live_window(symbols, composed_plans(spec, _jacobi_rotations), (None, 1, 1))
+    return live_check("jacobi", math.comb(len(symbols), 3), composed(spec, bracket_symbols, live),
                       "Jacobi identity broken", spec.scale ** 2)
 
 

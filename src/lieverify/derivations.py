@@ -25,7 +25,7 @@ a core entry of those rows free (see `solve_degree`); ``linalg`` never peels.
 integers, up to the first nonzero residual.  Unknowns, assembly and re-check
 all read s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom
 and TPA checks share and ``core.bracket_symbols`` fills; ``window_frame``
-lists the window's pairs once per solve.
+lists the window's pairs once per solve and ``_columns`` each degree's unknowns once.
 """
 from __future__ import annotations
 
@@ -151,14 +151,24 @@ def build_unknowns(
     return [u for u in unknowns if not _is_core(u, window.n_core2)] + core[::-1]
 
 
+def _columns(spec: AlgebraSpec, g2: int, window: Window, frame: Frame) -> tuple[list, dict]:
+    """`build_unknowns` and src -> its [(tgt, column)]: phi(src) = sum of unknown[column] * tgt."""
+    unknowns, image = build_unknowns(spec, g2, window, frame), defaultdict(list)
+    for i, (src, tgt) in enumerate(unknowns):
+        image[src].append((tgt, i))
+    return unknowns, image
+
+
 def assemble_system(
     spec: AlgebraSpec,
     g2: int,
     window: Window,
     delta: Fraction = Fraction(1, 2),
     frame: Optional[Frame] = None,
+    columns: Optional[tuple[list[Unknown], dict]] = None,
 ) -> tuple[list[Unknown], list[linalg.SparseRow]]:
-    """Unknown list plus sparse residual rows over those unknowns.
+    """Unknown list plus sparse residual rows over those unknowns, for the pairs of `frame`;
+    `columns`, `_columns` of the whole frame, lets one degree's stages share them.
 
     With delta = p/q, each row is q*`spec.scale` times the residual's row
     and holds `int` entries.  Scaling a row keeps the row space, so the
@@ -167,12 +177,7 @@ def assemble_system(
     """
     p, q = delta.numerator, delta.denominator
     frame = frame or window_frame(spec, window)
-    unknowns = build_unknowns(spec, g2, window, frame)
-    # phi(src) = sum of unknown[column] * tgt over its (tgt, column) pairs
-    image: dict[BasisSymbol, list[tuple[BasisSymbol, int]]] = {}
-    for i, (src, tgt) in enumerate(unknowns):
-        image.setdefault(src, []).append((tgt, i))
-
+    unknowns, image = columns or _columns(spec, g2, window, frame)
     memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
     rows: list[linalg.SparseRow] = []
     for x, y, terms in frame.pairs:
@@ -353,12 +358,13 @@ def solve_degree(
     vectors whose free column is core, last first, are the interior basis: their core
     projections form the projection's RREF in basis order (proof in the module)."""
     frame = frame or window_frame(spec, window)
+    columns = _columns(spec, g2, window, frame)
     stage = frame._replace(pairs=frame.pairs[:frame.inner])
-    unknowns, rows = assemble_system(spec, g2, window, delta, stage)
+    unknowns, rows = assemble_system(spec, g2, window, delta, stage, columns)
     outer = sum(not _is_core(u, window.n_core2) for u in unknowns)
     if not _forced_zero(rows).issuperset(range(outer, len(unknowns))):
         stage = frame._replace(pairs=frame.pairs[frame.inner:])
-        rows += assemble_system(spec, g2, window, delta, stage)[1]
+        rows += assemble_system(spec, g2, window, delta, stage, columns)[1]
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
     basis = [vec for vec in reversed(vectors) if max(vec) >= outer]
 

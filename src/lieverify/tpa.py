@@ -10,12 +10,12 @@ so ``compatibility_terms`` is ``residual_terms`` at p/q = 1/2.
 
 ``product_symbols`` memoizes s_p*(x*y) as (symbol, ``int``) pairs, with s_p
 = ``prod.scale``, as ``bracket_symbols`` does s*[x, y], keyed by ordered pair:
-both orientations share one evaluation.  Compatibility reads z*(-) from one
-table per z, filled from it on first read.  The checks run in ``int`` on
-both memos (associativity on s_p**2 times its residual,
-compatibility on s*s_p times it); a ``Fraction`` is built only for a
-violation, or by ``product``, ``associativity_terms`` and
-``compatibility_terms``, which divide back by their scale.
+both orientations share one evaluation.  Associativity is one ``core.composed``
+pass over the window on s_p**2 times its residual; compatibility, on s*s_p times
+it, reads z*(-) from one table per z, filled from the memo on first read.  All
+runs in ``int``; a ``Fraction`` is built only for a violation, or by ``product``,
+``associativity_terms`` and ``compatibility_terms``, which divide back by their
+scale.
 
 A candidate product is given by symmetric rules in the same shape as
 bracket rules.  ``check_tpa`` verifies commutativity (structural),
@@ -82,14 +82,14 @@ def product_symbols(
 ) -> tuple[tuple[BasisSymbol, int], ...]:
     """scale * (x*y) for basis symbols as (symbol, int) pairs, memoized in `prod._cache`
     under (x, y) and (y, x): both orientations share one evaluation."""
-    terms = prod._cache.get((x, y))
-    if terms is None:
-        prod.algebra.family(x.family)  # raise StructureError on unknown families
-        prod.algebra.family(y.family)
+    if (terms := prod._cache.get((x, y))) is None:
         # the canonical argument order keeps the product symmetric by construction
         key = (x, y) if (x.family, x.twice or 0) <= (y.family, y.twice or 0) else (y, x)
-        out = eval_rule(prod._pair, *key, antisymmetric=False)
-        terms = prod._cache[x, y] = prod._cache[y, x] = tuple(out.items())
+        terms = tuple(eval_rule(prod._pair, *key, antisymmetric=False).items())
+        if not terms:  # `add_rule` gives no rule an unknown family: look only now
+            prod.algebra.family(x.family)
+            prod.algebra.family(y.family)
+        prod._cache[x, y] = prod._cache[y, x] = terms
     return terms
 
 
@@ -137,34 +137,33 @@ def check_commutative(prod: ProductSpec, bound2: int) -> Report:
     pairs are formed (`live_window`), in canonical order: the memo gives x*y and only
     y*x is evaluated here.  `pairs_checked` counts every pair, C(n+1, 2)."""
     symbols = list(prod.algebra.basis_symbols(bound2))
-    residual = lambda x, y: axpy(dict(product_symbols(prod, x, y)),
-                                 eval_rule(prod._pair, y, x, antisymmetric=False), -1)
-    ruled = {(f, f): residual for f, partners in reach(prod._pair).items() if f in partners}
-    return live_check("commutativity", math.comb(len(symbols) + 1, 2),
-                      live_window(symbols, ruled, (None, 1)), "commutativity broken", prod.scale)
+    ruled = {(f, f): None for f, partners in reach(prod._pair).items() if f in partners}
+    found = (((x, y), axpy(dict(product_symbols(prod, x, y)),
+                           eval_rule(prod._pair, y, x, antisymmetric=False), -1))
+             for (x, y), _ in live_window(symbols, ruled, (None, 1)))
+    return live_check("commutativity", math.comb(len(symbols) + 1, 2), found,
+                      "commutativity broken", prod.scale)
 
 
-def _associator(x, y, z) -> tuple:
-    """The terms (x*y)*z - (y*z)*x of (x*y)*z - x*(y*z) for `composed`; x*(y*z) is
-    read as (y*z)*x, as products are symmetric."""
-    return (x, y, z, 1), (y, z, x, -1)
+_associator = ((0, 1, 2, 1), (1, 2, 0, -1))  # (x*y)*z - (y*z)*x = (x*y)*z - x*(y*z): x*y = y*x
 
 
 def associativity_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """(x*y)*z - x*(y*z) as a symbol->coefficient dict."""
-    return _over(composed(prod, product_symbols, _associator(x, y, z)), prod.scale ** 2)
+    found = dict(composed(prod, product_symbols, [((x, y, z), _associator)]))
+    return _over(found.get((x, y, z), {}), prod.scale ** 2)
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
-    """(x*y)*z - x*(y*z) on every window triple with repeats, on s_p**2 times it.  Only
-    a triple with a term whose families compose is formed, and only those terms reach
-    the kernel (`composed_plans`); `pairs_checked` counts every triple, C(n+2, 3)."""
+    """(x*y)*z - x*(y*z) on every window triple with repeats, on s_p**2 times it, in one
+    `composed` pass.  Only a triple with a term whose families compose is formed, and only
+    those terms reach it (`composed_plans`); `pairs_checked` counts every triple, C(n+2, 3)."""
     symbols = list(prod.algebra.basis_symbols(bound2))
-    plans = composed_plans(prod, product_symbols, _associator)
+    live = live_window(symbols, composed_plans(prod, _associator), (None, 0, 0))
     return live_check("associativity", math.comb(len(symbols) + 2, 3),
-                      live_window(symbols, plans, (None, 0, 0)), "associativity broken",
+                      composed(prod, product_symbols, live), "associativity broken",
                       prod.scale ** 2)
 
 
@@ -197,24 +196,21 @@ def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
     `pairs_checked` counts every triple, C(n, 2)*n for n symbols."""
     symbols = list(prod.algebra.basis_symbols(bound2))
     left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
-    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
-    residual = lambda x, y, z: residual_terms(prod.algebra, left[z], x, y, 1, 2)
     br, pr = reach(prod.algebra._pair), reach(prod._pair)
-    live = {(a, b, c): residual for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
+    live = {(a, b, c): None for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
             if composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
             or composes(pr, br, c, b, a)}
-    n = len(symbols)
-    return live_check("compatibility", math.comb(n, 2) * n, live_window(symbols, live, (None, 1, None)),
+    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
+    found = (((x, y, z), residual_terms(prod.algebra, left[z], x, y, 1, 2))
+             for (x, y, z), _ in live_window(symbols, live, (None, 1, None)))
+    return live_check("compatibility", math.comb(len(symbols), 2) * len(symbols), found,
                       "compatibility broken", prod.algebra.scale * prod.scale)
 
 
 def check_tpa(prod: ProductSpec, bound2: int) -> list[Report]:
     """Full transposed-Poisson check over the window |index| <= bound2/2."""
-    return [
-        check_commutative(prod, bound2),
-        check_associative(prod, bound2),
-        check_compatibility(prod, bound2),
-    ]
+    checks = (check_commutative, check_associative, check_compatibility)  # read at call time
+    return [check(prod, bound2) for check in checks]
 
 
 def parse_products(text: str, spec: AlgebraSpec) -> ProductSpec:

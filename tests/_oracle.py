@@ -333,7 +333,7 @@ def check_left_mult(prod: ProductSpec, z: Element | BasisSymbol, bound2: int) ->
     symbols = list(prod.algebra.basis_symbols(bound2))
     return live_check(
         "left-multiplication", comb(len(symbols), 2),
-        ((t, residual) for t in combinations(symbols, 2)),
+        ((t, residual(*t)) for t in combinations(symbols, 2)),
         "left multiplication is not a 1/2-derivation",
     )
 

@@ -12,8 +12,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lieverify import catalog, cli, core, dsl
+from lieverify import catalog, cli, core, dsl, tpa
 from lieverify.core import (
     AlgebraSpec,
     BasisSymbol,
@@ -105,20 +106,19 @@ def test_rules_on_new_family_pairs_match_oracle(text):
 
 
 def composed_calls(run):
-    """run()'s result and, for each `core.composed` call it made, in order, the window
-    triple it evaluated and the terms it was handed.  A call leaves out the terms whose
-    families cannot compose, so the first one handed need not be (x, y, z, 1); but each
-    term places all of x, y and z, so the triple is its symbols in window order."""
+    """run()'s result and each (t, placements) that the `core.composed` calls it made
+    were handed, in order, through `core`'s and `tpa`'s names for the kernel."""
     seen = []
     kernel = core.composed
 
-    def spy(owner, fill, terms):
-        order = list(getattr(owner, "algebra", owner).family_map)
-        in_window = sorted(terms[0][:3], key=lambda s: (order.index(s.family), s.twice or 0))
-        seen.append((tuple(in_window), tuple(terms)))
-        return kernel(owner, fill, terms)
+    def spy(owner, fill, items):
+        def handed():
+            for item in items:
+                seen.append(item)
+                yield item
+        return kernel(owner, fill, handed())
 
-    with mock.patch.object(core, "composed", spy):
+    with mock.patch.object(core, "composed", spy), mock.patch.object(tpa, "composed", spy):
         return run(), seen
 
 
@@ -163,15 +163,16 @@ def test_skew_reads_only_families_with_a_rule_with_themselves():
     assert {(x.family, y.family) for x, y in spec._cache} == {("L", "L"), ("N", "N"), ("Y", "Y")}
 
 
-def assert_skipped_terms_vanish(owner, fill, terms, run, triples):
-    """Each term of terms(x, y, z) on a window triple that `run` (a check on `owner`) does
-    not hand to `core.composed`, the whole triple's when the kernel never sees it, is
-    zero, by `composed` on that term alone; and every term handed is one of them."""
+def assert_skipped_terms_vanish(owner, fill, placements, run, triples):
+    """Each placement of `placements` on a window triple that `run` (a check on `owner`)
+    does not hand to `core.composed`, all of them when the kernel never sees the triple,
+    is zero, by `composed` on that placement alone; and every placement handed is one of
+    them."""
     handed = dict(composed_calls(run)[1])
     for t in triples:
-        assert set(handed.get(t, ())) <= set(terms(*t)), t
-        for term in set(terms(*t)) - set(handed.get(t, ())):
-            assert core.composed(owner, fill, (term,)) == {}, (t, term)
+        assert set(handed.get(t, ())) <= set(placements), t
+        for placement in set(placements) - set(handed.get(t, ())):
+            assert list(core.composed(owner, fill, [(t, (placement,))])) == [], (t, placement)
 
 
 @pytest.mark.parametrize("name, params", ALGEBRAS)
@@ -180,6 +181,40 @@ def test_every_term_of_a_skipped_jacobi_triple_is_zero(name, params):
     assert_skipped_terms_vanish(
         spec, bracket_symbols, core._jacobi_rotations, lambda: check_jacobi(spec, Window(12, 0)),
         itertools.combinations(spec.basis_symbols(12), 3))
+
+
+def rescaled(rules, rule, term, factor, shift):
+    """`rules` with one term, term `term` of rule `rule` (each index taken modulo the
+    count), times `factor` and with its target offset moved by `shift`."""
+    rules = list(rules)
+    old = rules[rule % len(rules)]
+    terms = list(old.terms)
+    t = terms[term % len(terms)]
+    terms[term % len(terms)] = BracketTerm(t.coeff * factor, t.target, t.offset + shift, t.delta)
+    rules[rule % len(rules)] = BracketRule(old.left, old.right, tuple(terms))
+    return tuple(rules)
+
+
+perturbations = dict(
+    rule=st.integers(0, 20), term=st.integers(0, 20), shift=st.integers(-1, 1),
+    factor=st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)), neq=st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra=st.sampled_from(ALGEBRAS), **perturbations)
+@example(algebra=("broken_so_hat", None), rule=0, term=0, factor=Fraction(1), shift=0, neq=6)
+def test_jacobi_with_a_perturbed_rule_matches_oracle(algebra, rule, term, factor, shift, neq):
+    """With one term of one rule rescaled and moved, `check_jacobi`'s one `composed` pass
+    gives the oracle's report: tuple count, witnesses, residuals and their order.  Left
+    as it is, broken_so_hat at neq 6 gives its 226 violations."""
+    spec = _algebra(*algebra)
+    rules = rescaled(spec.rules, rule, term, factor, shift)
+    build = lambda: AlgebraSpec(f"{spec.name}*", spec.families, rules, spec.params)
+    report = check_jacobi(build(), Window(2 * neq, 0))
+    found = [(v.witness, v.residual) for v in report.violations]
+    assert (report.pairs_checked, found) == axiom_oracle(build(), 2 * neq)["jacobi"]
+    if (algebra[0], rules, neq) == ("broken_so_hat", spec.rules, 6):
+        assert len(found) == 226
 
 
 def test_some_perturbation_breaks_jacobi_with_a_scale():

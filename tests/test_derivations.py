@@ -325,14 +325,33 @@ def test_staged_solve_equals_the_full_system_route(name, params, monkeypatch):
             assert len(calls) == 2 or (len(calls) == 1 and not want)
 
 
+def test_each_degree_builds_its_unknowns_once(lt1, monkeypatch):
+    """`solve_degree` builds the unknowns and their column map once per degree, and both
+    assembly stages share them: on solve-Ltilde1's nine degrees, nine builds, not 18."""
+    built, assembled = [], []
+    build, assemble = derivations.build_unknowns, derivations.assemble_system
+
+    def spy(*args):
+        unknowns, rows = assemble(*args)
+        assembled.append((args[1], id(unknowns)))
+        return unknowns, rows
+
+    monkeypatch.setattr(derivations, "build_unknowns", lambda *a: built.append(a[1]) or build(*a))
+    monkeypatch.setattr(derivations, "assemble_system", spy)
+    report = solve_derivations(lt1, range(-4, 5), Window.displayed(8, 3))
+    assert list(report.dims.values()) == [1, 1, 1, 1, 2, 1, 1, 1, 1]
+    assert built == list(range(-4, 5))
+    assert len(assembled) == 18 and len(set(assembled)) == 9
+
+
 def test_so_hat_assembles_the_outer_pairs_only_when_a_core_entry_is_free(so_hat, monkeypatch):
     window = Window.displayed(8, 3)
     frame = derivations.window_frame(so_hat, window)
     assembled = []
 
-    def spy(spec, g2, window, delta, stage):
+    def spy(spec, g2, window, delta, stage, *shared):
         assembled.append(stage.pairs)
-        return assemble_system(spec, g2, window, delta, stage)
+        return assemble_system(spec, g2, window, delta, stage, *shared)
 
     monkeypatch.setattr(derivations, "assemble_system", spy)
     assert solve_degree(so_hat, 1, window, F(1, 2), frame).interior_dim == 0

@@ -1,14 +1,15 @@
 """Transposed Poisson structures: theorem products, checks, serialization."""
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracle import associativity_oracle, check_left_mult, compatibility_oracle
-from test_axioms import assert_skipped_terms_vanish, composed_calls
+from test_axioms import assert_skipped_terms_vanish, composed_calls, perturbations, rescaled
 from lieverify import catalog, core, derivations, tpa
 from lieverify.core import (
     BasisSymbol,
@@ -226,6 +227,56 @@ def _assert_reports_match_oracle(prod, bound2):
 def test_golden_product_reports_match_oracle(name, neq):
     """Counts, witnesses, residuals and their order, against the oracle."""
     _assert_reports_match_oracle(_golden_product(name), 2 * neq)
+
+
+PRODUCTS = {
+    "theorem": _cold_theorem_product,
+    "broken_product": lambda: _golden_product("broken_product.liealg"),
+    "broken_assoc": lambda: _golden_product("broken_assoc.liealg"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from(sorted(PRODUCTS)), **perturbations)
+@example(base="broken_product", rule=0, term=0, factor=F(1), shift=0, neq=2)
+@example(base="broken_assoc", rule=0, term=0, factor=F(1), shift=0, neq=2)
+def test_associativity_with_a_perturbed_rule_matches_oracle(base, rule, term, factor, shift, neq):
+    """With one term of one product rule rescaled and moved, `check_associative`'s one
+    `composed` pass gives the oracle's report, violations in the same order.  Left as they
+    are, both golden products at neq 2 give their golden associativity report."""
+    prod = PRODUCTS[base]()
+    prod = ProductSpec(prod.algebra, rescaled(prod.rules, rule, term, factor, shift))
+    symbols = list(prod.algebra.basis_symbols(2 * neq))
+    report = check_associative(prod, 2 * neq)
+    assert report == _oracle_report(
+        "associativity", "associativity broken",
+        itertools.combinations_with_replacement(symbols, 3), associativity_oracle, prod)
+    if base != "theorem" and prod.rules == PRODUCTS[base]().rules and neq == 2:
+        golden = json.loads((GOLDEN / f"check_tpa_{base}.json").read_text())
+        assert report.as_dict() == golden["checks"][1]
+        assert len(report.violations) == {"broken_product": 0, "broken_assoc": 16}[base]
+
+
+@pytest.mark.parametrize("table", ["bracket", "product"])
+def test_families_are_looked_up_only_when_no_rule_gives_a_term(table):
+    """`bracket_symbols` and `product_symbols` look up the families only for an empty
+    result.  A family outside the algebra has no rule, so it still raises in either slot,
+    beside a family with rules, and memoizes nothing; a central pair, a pair with no rule
+    and a pair whose rule gives zero memoize () without raising."""
+    prod = _cold_theorem_product()
+    owner, fill = (prod.algebra, bracket_symbols) if table == "bracket" else (prod, product_symbols)
+    lt1 = prod.algebra
+    x = lt1.symbol("L", 1)  # L has rules with L and Y in both tables
+    for q in (BasisSymbol("Q", 0), BasisSymbol("Q", None)):
+        for a, b in ((q, x), (x, q)):
+            with pytest.raises(StructureError):
+                fill(owner, a, b)
+            assert (a, b) not in owner._cache
+    c, m = lt1.symbol("C_L"), lt1.symbol("M", 2)
+    empty = [(c, c), (c, x), (x, c), (m, lt1.symbol("M", 1))]  # M has no rule with M
+    empty += [(x, x)] if table == "bracket" else [(lt1.symbol("Y", F(1, 2)), m)]
+    for a, b in empty:
+        assert fill(owner, a, b) == () and owner._cache[a, b] == (), (a, b)
 
 
 supports = st.dictionaries(
