@@ -190,6 +190,8 @@ def _parse_expect(text: str, degrees2: Sequence[int]) -> dict[int, int]:
         if g2 not in degrees2:
             raise UsageError(f"--expect degree {format_index2(g2)} is not in --degrees")
         expected[g2] = _parse_int(dim, "--expect dim")
+        if expected[g2] < 0:
+            raise UsageError(f"--expect dim must be nonnegative, got {expected[g2]}")
     return expected
 
 

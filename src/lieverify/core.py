@@ -12,9 +12,10 @@ denominators, to integer monomials, so ``eval_rule`` works in ``int`` alone.
 ``bracket_symbols`` memoizes s*[x, y] as (symbol, ``int``) pairs in ``spec._cache``,
 the one bracket memo of every check and of the solver.  A ``Fraction`` is built
 only to divide by s: ``live_check`` for a violation, ``bracket``, ``jacobi_terms``.
-``composed``, the kernel of Jacobi and of ``tpa``'s associativity, sums the placed
-terms ((t[i] op t[j]) op t[k]) of each of a check's tuples t on one such memo, in one
-pass, and yields the nonzero sums.  ``reach`` and ``composes`` tell from the families
+``composed`` is the one kernel of every bilinear identity: Jacobi, ``tpa``'s
+associativity and compatibility, the solver's re-check.  In one pass it sums the
+placed terms inner(outer(t[i], t[j]), t[k]) of each tuple t, each op a memo ``table``,
+and yields the nonzero sums.  ``reach`` and ``composes`` tell from the families
 alone whether two rules can compose to a nonzero term; the checks form only the tuples
 and terms that can (``live_window``, ``composed_plans``) and count the rest in closed form.
 """
@@ -24,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import axpy
@@ -491,41 +493,54 @@ def composes(outer: Mapping, inner: Mapping, a: str, b: str, c: str) -> bool:
     return any(inner.get(f, {}).get(c) for f in outer.get(a, {}).get(b, ()))
 
 
-def composed(owner, fill: Callable, items: Iterable[tuple]) -> Iterator[tuple]:
-    """(t, the sum of sign * ((t[i] op t[j]) op t[k]) over the placements (i, j, k, sign))
-    for each (t, placements) of `items` where that sum, in `int`, is nonzero.
+def table(owner, fill: Callable) -> tuple:
+    """`owner`'s op for `composed`: (its memo's `get`, `fill` bound to `owner`, `owner`).  The
+    memo `owner._cache` holds s * (a op b) as (symbol, int) pairs.  A check builds its tables
+    when called, so they bind the fill (`bracket_symbols`, `product_symbols`) its module holds."""
+    return owner._cache.get, partial(fill, owner), owner
 
-    `owner._cache` memoizes s * (a op b) as (symbol, int) pairs: `bracket_symbols` fills a
-    spec's, `tpa.product_symbols` a product's.  It is read directly on a hit, a memoized ()
-    too, and `fill(owner, a, b)` runs only on a miss.  The sum is s**2 times the true one.
-    Each term is formed as written: nothing of the op is assumed."""
-    memo = owner._cache.get
+
+def placed(rotations: tuple, op: tuple) -> tuple:
+    """The placements (i, j, k, sign, op, op, False) of each (i, j, k, sign) of `rotations`."""
+    return tuple((*r, op, op, False) for r in rotations)
+
+
+def composed(items: Iterable[tuple]) -> Iterator[tuple]:
+    """(t, the sum of sign * inner(outer(t[i], t[j]), t[k]) over the placements
+    (i, j, k, sign, outer, inner, right)) for each (t, placements) of `items` where that sum,
+    in `int`, is nonzero; `right` puts t[k] in the left slot: inner(t[k], outer(t[i], t[j])).
+    outer and inner are `table`s, read directly on a hit, a memoized () too, and filled only
+    on a miss.  Each term is formed as written: nothing of either op is assumed."""
     for t, placements in items:
         acc: dict[BasisSymbol, int] = {}
         get = acc.get
-        for i, j, k, sign in placements:
-            c = t[k]
-            if (outer := memo((t[i], t[j]))) is None:
-                outer = fill(owner, t[i], t[j])
+        for i, j, k, sign, (outer_get, outer_fill, _), (inner_get, inner_fill, _), right in placements:
+            a, b, c = t[i], t[j], t[k]
+            if (outer := outer_get((a, b))) is None:
+                outer = outer_fill(a, b)
             for sym, coeff in outer:
                 coeff *= sign
-                if (inner := memo((sym, c))) is None:
-                    inner = fill(owner, sym, c)
+                key = (c, sym) if right else (sym, c)
+                if (inner := inner_get(key)) is None:
+                    inner = inner_fill(*key)
                 for out, value in inner:
                     acc[out] = get(out, 0) + coeff * value
         if any(acc.values()):
             yield t, {out: value for out, value in acc.items() if value}
 
 
-def composed_plans(owner, placements: tuple) -> dict:
-    """family triple f -> the placements (i, j, k, sign) of `placements` whose families
-    f[i], f[j] and f[k] compose on `owner._pair`, for each f where one does; every
-    placement left out gives zero by construction."""
-    table = reach(owner._pair)
+def composed_plans(placements: tuple) -> dict:
+    """family triple f -> the placements of `placements` whose families f[i], f[j] and f[k]
+    compose on their tables' rules, for each f where one does; every placement left out
+    gives zero by construction.  Owners are keyed by `id`: hashing a frozen spec hashes
+    every rule."""
+    owners = {id(op[2]): op[2] for p in placements for op in p[4:6]}
+    reaches = {key: reach(owner._pair) for key, owner in owners.items()}
+    families = dict.fromkeys(f for table in reaches.values() for f in table)
     plans = {}
-    for f in itertools.product(table, repeat=3):
-        if kept := tuple((i, j, k, sign) for i, j, k, sign in placements
-                         if composes(table, table, f[i], f[j], f[k])):
+    for f in itertools.product(families, repeat=3):
+        if kept := tuple(p for p in placements if composes(
+                reaches[id(p[4][2])], reaches[id(p[5][2])], f[p[0]], f[p[1]], f[p[2]])):
             plans[f] = kept
     return plans
 
@@ -560,8 +575,8 @@ def jacobi_terms(
     Each of x, y and z heads an outer bracket, so an unknown family raises
     `StructureError` from `bracket_symbols`.
     """
-    found = dict(composed(spec, bracket_symbols, [((x, y, z), _jacobi_rotations)]))
-    return _over(found.get((x, y, z), {}), spec.scale ** 2)
+    rotations = placed(_jacobi_rotations, table(spec, bracket_symbols))
+    return _over(next(composed([((x, y, z), rotations)]), (None, {}))[1], spec.scale ** 2)
 
 
 def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
@@ -575,8 +590,9 @@ def check_jacobi(spec: AlgebraSpec, window: Window) -> Report:
     counts every triple, C(n, 3) for n symbols.
     """
     symbols = list(spec.basis_symbols(window.n_eq2))
-    live = live_window(symbols, composed_plans(spec, _jacobi_rotations), (None, 1, 1))
-    return live_check("jacobi", math.comb(len(symbols), 3), composed(spec, bracket_symbols, live),
+    plans = composed_plans(placed(_jacobi_rotations, table(spec, bracket_symbols)))
+    return live_check("jacobi", math.comb(len(symbols), 3),
+                      composed(live_window(symbols, plans, (None, 1, 1))),
                       "Jacobi identity broken", spec.scale ** 2)
 
 

@@ -21,11 +21,12 @@ columns, and otherwise nonzero only at pivot columns below f: f = max(v_f).
 The core window's pairs are assembled first; the outer pairs follow only if
 `_forced_zero`, the singleton peel and the one stage test per degree, leaves
 a core entry of those rows free (see `solve_degree`); ``linalg`` never peels.
-``residual_terms`` re-checks each reported generator on the window pairs, in
-integers, up to the first nonzero residual.  Unknowns, assembly and re-check
-all read s*[x, y] from ``spec._cache``, the one bracket memo, which the axiom
-and TPA checks share and ``core.bracket_symbols`` fills; ``window_frame``
-lists the window's pairs once per solve and ``_columns`` each degree's unknowns once.
+One ``core.composed`` pass over ``residual_placements`` re-checks every reported
+generator on the window pairs, in integers, up to the first nonzero residual.
+Unknowns, assembly and re-check all read s*[x, y] from ``spec._cache``, the one
+bracket memo, which the axiom and TPA checks share and ``core.bracket_symbols``
+fills; ``window_frame`` lists the window's pairs once per solve and ``_columns``
+each degree's unknowns once.
 """
 from __future__ import annotations
 
@@ -45,44 +46,22 @@ from .core import (
     Window,
     _over,
     bracket_symbols,
+    composed,
     format_index2,
     format_symbol,
+    table,
 )
 
 Unknown = tuple[BasisSymbol, BasisSymbol]  # (source, target)
 
 
-def residual_terms(
-    spec: AlgebraSpec, phi: Callable, x: BasisSymbol, y: BasisSymbol, p: int, q: int
-) -> dict[BasisSymbol, Fraction | int]:
-    """q*phi([x,y]) - p*([phi(x),y] + [x,phi(y)]): q*s times the residual at delta = p/q.
-
-    Brackets are s*[a, b] from the `bracket_symbols` memo, s = `spec.scale`,
-    and `phi(s)` yields the terms of the image of s, or of a fixed multiple
-    of it.  Integer images keep it all in `int`.
-    """
-    acc: dict[BasisSymbol, Fraction | int] = {}
-    get = acc.get
-    memo = spec._cache  # read directly on a hit, a memoized () too: `bracket_symbols` fills it
-    if (terms := memo.get((x, y))) is None:
-        terms = bracket_symbols(spec, x, y)
-    for sym, coeff in terms:
-        coeff *= q
-        for out, value in phi(sym):
-            acc[out] = get(out, 0) + coeff * value
-    for sym, coeff in phi(x):
-        coeff *= p
-        if (terms := memo.get((sym, y))) is None:
-            terms = bracket_symbols(spec, sym, y)
-        for out, value in terms:
-            acc[out] = get(out, 0) - coeff * value
-    for sym, coeff in phi(y):
-        coeff *= p
-        if (terms := memo.get((x, sym))) is None:
-            terms = bracket_symbols(spec, x, sym)
-        for out, value in terms:
-            acc[out] = get(out, 0) - coeff * value
-    return {out: value for out, value in acc.items() if value}
+def residual_placements(spec: AlgebraSpec, phi: tuple, p: int, q: int) -> tuple:
+    """The `composed` placements of q*phi([x,y]) - p*[phi(x),y] - p*[x,phi(y)] on t = (x, y, z),
+    q*s times the residual at delta = p/q, with s = `spec.scale` and brackets from the
+    `bracket_symbols` memo.  `phi` is a `table` whose (a, z) entry yields the terms of
+    phi(a), or of a fixed multiple of it; integer images keep it all in `int`."""
+    br = table(spec, bracket_symbols)
+    return (0, 1, 2, q, br, phi, False), (0, 2, 1, -p, phi, br, False), (1, 2, 0, -p, phi, br, True)
 
 
 def derivation_residual(
@@ -94,9 +73,10 @@ def derivation_residual(
 ) -> Element:
     """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) as an Element, from q*s times it."""
     image = phi if callable(phi) else lambda s: phi.get(s, {})
-    q = delta.denominator
-    terms = residual_terms(spec, lambda s: image(s).items(), x, y, delta.numerator, q)
-    return Element(_over(terms, q * spec.scale))
+    always_missed = ({}.get, lambda a, _: image(a).items(), None)  # its fill gives phi(a)
+    placements = residual_placements(spec, always_missed, delta.numerator, delta.denominator)
+    terms = next(composed([((x, y, None), placements)]), (None, {}))[1]
+    return Element(_over(terms, delta.denominator * spec.scale))
 
 
 def _targets_for(spec: AlgebraSpec, source: BasisSymbol, g2: int) -> list[BasisSymbol]:
@@ -368,22 +348,19 @@ def solve_degree(
     vectors = linalg.sparse_nullspace(rows, len(unknowns))
     basis = [vec for vec in reversed(vectors) if max(vec) >= outer]
 
-    generators = []
-    checked = True
-    symbols = list(spec.basis_symbols(window.n_eq2))
-    # the residual of phi scaled to integers on scale * [,], cleared by q: all in int
-    p, q = delta.numerator, delta.denominator
-    for full in basis:
-        images: dict[BasisSymbol, dict[BasisSymbol, int]] = {}
+    generators, images = [], {}  # (source, g) -> the int image of source by generator g
+    for g, full in enumerate(basis):
         for c, v in linalg._as_ints(full).items():
             src, tgt = unknowns[c]
-            images.setdefault(src, {})[tgt] = v
-        image = defaultdict(tuple, {src: tuple(terms.items()) for src, terms in images.items()})
-        checked &= not any(residual_terms(spec, image.__getitem__, x, y, p, q)
-                           for x, y in itertools.combinations(symbols, 2))
+            images.setdefault((src, g), []).append((tgt, v))
         interior = {unknowns[c]: v for c, v in full.items() if c >= outer}
         generators.append(Generator(_describe(interior), interior))
-    return DegreeResult(g2, len(basis), generators, checked)
+    phi = (images.get, lambda a, g: (), None)  # a source missing from images maps to 0
+    placements = residual_placements(spec, phi, delta.numerator, delta.denominator)
+    symbols = list(spec.basis_symbols(window.n_eq2))
+    found = composed(((x, y, g), placements) for g in range(len(basis))
+                     for x, y in itertools.combinations(symbols, 2))
+    return DegreeResult(g2, len(basis), generators, next(found, None) is None)
 
 
 def solve_derivations(

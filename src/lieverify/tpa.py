@@ -5,17 +5,15 @@ Lie bracket through the compatibility law
 
 The law says exactly that left multiplication phi = z*(-) is a
 1/2-derivation of the bracket: its residual is the 1/2-derivation residual
-phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]) cleared of the denominator 2,
-so ``compatibility_terms`` is ``residual_terms`` at p/q = 1/2.
+phi([x,y]) - 1/2*([phi(x),y] + [x,phi(y)]) cleared of the denominator 2:
+``derivations.residual_placements`` at p/q = 1/2, phi the product table.
 
 ``product_symbols`` memoizes s_p*(x*y) as (symbol, ``int``) pairs, with s_p
 = ``prod.scale``, as ``bracket_symbols`` does s*[x, y], keyed by ordered pair:
-both orientations share one evaluation.  Associativity is one ``core.composed``
-pass over the window on s_p**2 times its residual; compatibility, on s*s_p times
-it, reads z*(-) from one table per z, filled from the memo on first read.  All
-runs in ``int``; a ``Fraction`` is built only for a violation, or by ``product``,
-``associativity_terms`` and ``compatibility_terms``, which divide back by their
-scale.
+both orientations share one evaluation.  Associativity and compatibility are one
+``core.composed`` pass each over the window, on s_p**2 and s*s_p times their
+residuals, in ``int``; a ``Fraction`` is built only for a violation, or by ``product``,
+``associativity_terms`` and ``compatibility_terms``, which divide back by their scale.
 
 A candidate product is given by symmetric rules in the same shape as
 bracket rules.  ``check_tpa`` verifies commutativity (structural),
@@ -25,7 +23,6 @@ family of products that the deformed algebras L1(lambda=1, mu) carry.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,14 +42,15 @@ from .core import (
     bracket,  # not called here; perfbench's tracer wraps tpa.bracket
     composed,
     composed_plans,
-    composes,
     eval_rule,
     index_rules,
     live_check,
     live_window,
+    placed,
     reach,
+    table,
 )
-from .derivations import residual_terms
+from .derivations import residual_placements
 from .linalg import axpy
 from .poly import Poly
 
@@ -152,8 +150,8 @@ def associativity_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """(x*y)*z - x*(y*z) as a symbol->coefficient dict."""
-    found = dict(composed(prod, product_symbols, [((x, y, z), _associator)]))
-    return _over(found.get((x, y, z), {}), prod.scale ** 2)
+    placements = placed(_associator, table(prod, product_symbols))
+    return _over(next(composed([((x, y, z), placements)]), (None, {}))[1], prod.scale ** 2)
 
 
 def check_associative(prod: ProductSpec, bound2: int) -> Report:
@@ -161,49 +159,31 @@ def check_associative(prod: ProductSpec, bound2: int) -> Report:
     `composed` pass.  Only a triple with a term whose families compose is formed, and only
     those terms reach it (`composed_plans`); `pairs_checked` counts every triple, C(n+2, 3)."""
     symbols = list(prod.algebra.basis_symbols(bound2))
-    live = live_window(symbols, composed_plans(prod, _associator), (None, 0, 0))
+    plans = composed_plans(placed(_associator, table(prod, product_symbols)))
     return live_check("associativity", math.comb(len(symbols) + 2, 3),
-                      composed(prod, product_symbols, live), "associativity broken",
+                      composed(live_window(symbols, plans, (None, 0, 0))), "associativity broken",
                       prod.scale ** 2)
-
-
-class _LeftMultiple(dict):
-    """s_p * z*s for one z, keyed by s and filled from the product memo on first read."""
-
-    def __init__(self, prod: ProductSpec, z: BasisSymbol):
-        self.prod, self.z = prod, z
-
-    def __missing__(self, s: BasisSymbol) -> tuple[tuple[BasisSymbol, int], ...]:
-        if (terms := self.prod._cache.get((self.z, s))) is None:
-            terms = product_symbols(self.prod, self.z, s)
-        self[s] = terms
-        return terms
 
 
 def compatibility_terms(
     prod: ProductSpec, x: BasisSymbol, y: BasisSymbol, z: BasisSymbol
 ) -> dict[BasisSymbol, Fraction]:
     """2*z*[x,y] - [z*x, y] - [x, z*y] as a symbol->coefficient dict."""
-    terms = residual_terms(prod.algebra, _LeftMultiple(prod, z).__getitem__, x, y, 1, 2)
+    placements = residual_placements(prod.algebra, table(prod, product_symbols), 1, 2)
+    terms = next(composed([((x, y, z), placements)]), (None, {}))[1]
     return _over(terms, prod.algebra.scale * prod.scale)
 
 
 def check_compatibility(prod: ProductSpec, bound2: int) -> Report:
-    """2*z*[x,y] - [z*x, y] - [x, z*y] for distinct x, y and every z in the window.  Only
-    a triple where a target family of [x,y] has a product rule with z's, or one of
-    z*x a bracket rule with y's, or one of z*y with x's (`composes`), is formed
-    (`live_window`): all three terms of any other are zero by construction.
+    """2*z*[x,y] - [z*x, y] - [x, z*y] for distinct x, y and every z in the window, on
+    s*s_p times it, in one `composed` pass: the 1/2-derivation residual of z*(-), whose
+    (a, z) entry z*a the product memo holds (`residual_placements`).  Only a triple with a
+    term whose families compose is formed, and only those terms reach it (`composed_plans`);
     `pairs_checked` counts every triple, C(n, 2)*n for n symbols."""
     symbols = list(prod.algebra.basis_symbols(bound2))
-    left = {z: _LeftMultiple(prod, z).__getitem__ for z in symbols}
-    br, pr = reach(prod.algebra._pair), reach(prod._pair)
-    live = {(a, b, c): None for a, b, c in itertools.product(prod.algebra.family_map, repeat=3)
-            if composes(br, pr, a, b, c) or composes(pr, br, c, a, b)
-            or composes(pr, br, c, b, a)}
-    # s*s_p * (2*z*[x,y] - [z*x, y] - [x, z*y]) in int, the 1/2-derivation residual of z*(-)
-    found = (((x, y, z), residual_terms(prod.algebra, left[z], x, y, 1, 2))
-             for (x, y, z), _ in live_window(symbols, live, (None, 1, None)))
-    return live_check("compatibility", math.comb(len(symbols), 2) * len(symbols), found,
+    plans = composed_plans(residual_placements(prod.algebra, table(prod, product_symbols), 1, 2))
+    return live_check("compatibility", math.comb(len(symbols), 2) * len(symbols),
+                      composed(live_window(symbols, plans, (None, 1, None))),
                       "compatibility broken", prod.algebra.scale * prod.scale)
 
 

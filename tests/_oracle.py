@@ -11,7 +11,10 @@ memo, no scale and no `eval_rule` with the package, whose checks run in
 `int` on rules multiplied by a scale.  `oracle_bracket` and `oracle_product`
 are its two tables.
 `compatibility_oracle` writes the transposed-Poisson law out term by term,
-beside the package's route through the 1/2-derivation residual, and
+beside the package's route through the 1/2-derivation residual;
+`derivation_oracle` writes the delta-derivation residual out on oracle brackets,
+beside the solver's re-check and `derivation_residual`, which run on the
+package's composed-term kernel; and
 `associativity_oracle` forms (x*y)*z - x*(y*z) from product elements,
 beside the package's dict residual.
 `check_left_mult` checks that left multiplication by one fixed z is a
@@ -310,6 +313,16 @@ def compatibility_oracle(prod, x, y, z):
     """2*z*[x,y] - [z*x,y] - [x,z*y], formed as three separate elements."""
     br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
     return mul(z, br(x, y)).scale(2) - br(mul(z, x), y) - br(x, mul(z, y))
+
+
+def derivation_oracle(spec, phi, x, y, delta):
+    """phi([x,y]) - delta*([phi(x),y] + [x,phi(y)]) over `Fraction` on oracle brackets,
+    phi given as source -> {target: coefficient} on basis symbols (absent: 0), extended
+    linearly."""
+    br = oracle_bracket(spec)
+    image = lambda e: sum((Element(phi.get(s, {})).scale(c) for s, c in e.items()), Element())
+    return image(br(x, y)) - (br(image(Element.basis(x)), y)
+                              + br(x, image(Element.basis(y)))).scale(delta)
 
 
 def commutativity_oracle(prod, x, y):

@@ -22,13 +22,14 @@ from lieverify.core import (
     BracketTerm,
     Element,
     Window,
+    bracket,
     check_grading,
     check_jacobi,
     bracket_symbols,
     check_skew,
     jacobi_terms,
 )
-from lieverify.derivations import residual_terms
+from lieverify.derivations import derivation_residual
 from lieverify.poly import Poly
 
 from _oracle import axiom_oracle
@@ -106,17 +107,20 @@ def test_rules_on_new_family_pairs_match_oracle(text):
 
 
 def composed_calls(run):
-    """run()'s result and each (t, placements) that the `core.composed` calls it made
-    were handed, in order, through `core`'s and `tpa`'s names for the kernel."""
+    """run()'s result and, for each `core.composed` call it made through `core`'s and
+    `tpa`'s names for the kernel, the list of (t, placements) it was handed, in order.
+    A placement is given as (i, j, k, sign): each check builds its tables anew."""
     seen = []
     kernel = core.composed
 
-    def spy(owner, fill, items):
+    def spy(items):
+        seen.append([])
+
         def handed():
-            for item in items:
-                seen.append(item)
-                yield item
-        return kernel(owner, fill, handed())
+            for t, placements in items:
+                seen[-1].append((t, tuple(p[:4] for p in placements)))
+                yield t, placements
+        return kernel(handed())
 
     with mock.patch.object(core, "composed", spy), mock.patch.object(tpa, "composed", spy):
         return run(), seen
@@ -126,7 +130,7 @@ def test_jacobi_evaluates_only_family_live_triples():
     """On so_hat at neq 6, 12 155 of the 24 804 triples have a cyclic term whose outer
     bracket reaches a family with a rule for the third; only those reach the kernel."""
     spec = dsl.parse_algebra(SO_HAT, {})
-    report, calls = composed_calls(lambda: check_jacobi(spec, Window(12, 0)))
+    report, [calls] = composed_calls(lambda: check_jacobi(spec, Window(12, 0)))
     seen = [t for t, _ in calls]
     assert (report.passed, report.pairs_checked, len(seen), len(set(seen))) == (
         True, 24804, 12155, 12155)
@@ -163,24 +167,25 @@ def test_skew_reads_only_families_with_a_rule_with_themselves():
     assert {(x.family, y.family) for x, y in spec._cache} == {("L", "L"), ("N", "N"), ("Y", "Y")}
 
 
-def assert_skipped_terms_vanish(owner, fill, placements, run, triples):
-    """Each placement of `placements` on a window triple that `run` (a check on `owner`)
-    does not hand to `core.composed`, all of them when the kernel never sees the triple,
-    is zero, by `composed` on that placement alone; and every placement handed is one of
-    them."""
-    handed = dict(composed_calls(run)[1])
+def assert_skipped_terms_vanish(placements, run, triples):
+    """Each placement of `placements` on a window triple that `run` (a check on their
+    tables) does not hand to `core.composed`, all of them when the kernel never sees the
+    triple, is zero, by `composed` on that placement alone; and every placement handed is
+    one of them, compared by (i, j, k, sign)."""
+    handed = dict(item for call in composed_calls(run)[1] for item in call)
     for t in triples:
-        assert set(handed.get(t, ())) <= set(placements), t
-        for placement in set(placements) - set(handed.get(t, ())):
-            assert list(core.composed(owner, fill, [(t, (placement,))])) == [], (t, placement)
+        assert set(handed.get(t, ())) <= {p[:4] for p in placements}, t
+        for placement in placements:
+            if placement[:4] not in handed.get(t, ()):
+                assert list(core.composed([(t, (placement,))])) == [], (t, placement[:4])
 
 
 @pytest.mark.parametrize("name, params", ALGEBRAS)
 def test_every_term_of_a_skipped_jacobi_triple_is_zero(name, params):
     spec = _algebra(name, params)
     assert_skipped_terms_vanish(
-        spec, bracket_symbols, core._jacobi_rotations, lambda: check_jacobi(spec, Window(12, 0)),
-        itertools.combinations(spec.basis_symbols(12), 3))
+        core.placed(core._jacobi_rotations, core.table(spec, bracket_symbols)),
+        lambda: check_jacobi(spec, Window(12, 0)), itertools.combinations(spec.basis_symbols(12), 3))
 
 
 def rescaled(rules, rule, term, factor, shift):
@@ -235,7 +240,7 @@ def test_skew_broken_triples_need_the_cyclic_sum():
     lost = {}
     for v in report.violations:
         x, y, z = v.witness
-        if not residual_terms(spec, lambda s: bracket_symbols(spec, z, s), x, y, 1, 1):
+        if not derivation_residual(spec, lambda s: bracket(spec, z, s), x, y, Fraction(1)):
             lost[v.witness] = v.residual
     c_n = BasisSymbol("C_N", None)
     assert lost == {

@@ -186,6 +186,7 @@ class TestSolveDeriv:
         ("0=1,0=2", "--expect names degree 0 twice"),
         ("5=1", "--expect degree 5 is not in --degrees"),
         ("-1/2=0", "--expect degree -1/2 is not in --degrees"),
+        ("0=-1", "--expect dim must be nonnegative, got -1"),
     ])
     def test_bad_expect_exit_2_before_solve(self, capsys, monkeypatch, expect, message):
         def no_solve(*args):

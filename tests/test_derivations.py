@@ -8,7 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracle import full_system_route, oracle_bracket, oracle_interior_dim, residual_rows
+from _oracle import (
+    derivation_oracle, full_system_route, oracle_bracket, oracle_interior_dim, residual_rows,
+)
 from test_acceptance import DERIV_CONFIGS
 from test_axioms import spy_on_eval_rule
 from lieverify import catalog, core, derivations, linalg
@@ -19,7 +21,6 @@ from lieverify.derivations import (
     assemble_system,
     build_unknowns,
     derivation_residual,
-    residual_terms,
     solve_degree,
     solve_derivations,
 )
@@ -401,13 +402,14 @@ def test_each_degree_peels_once(name, params, monkeypatch):
 
 
 def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
-    """Run solve_degree with spies on its kernel vectors (spoiled by `spoil`, if
-    given) and on its re-check.  The generators are the vectors with a core entry,
-    last first.  Each int residual, up to a generator's first nonzero one, must be
-    lcm * scale * q times derivation_residual's, where lcm clears the generator's
-    denominators."""
-    vectors, residuals = [], []
-    nullspace = linalg.sparse_nullspace
+    """Run solve_degree with spies on its kernel vectors (spoiled by `spoil`, if given)
+    and on its re-check, one `composed` pass.  The generators are the vectors with a
+    core entry, last first.  The pass is handed (x, y, g) for each generator g and each
+    window pair, in that order, up to the first nonzero residual, which it yields as
+    lcm * scale * q times `derivation_oracle`'s, where lcm clears g's denominators; every
+    triple handed before it has a zero oracle residual."""
+    vectors, handed, found = [], [], []
+    nullspace, kernel = linalg.sparse_nullspace, derivations.composed
 
     def kernel_vectors(rows, ncols):
         vectors.extend(nullspace(rows, ncols))
@@ -415,13 +417,17 @@ def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
             spoil(vectors)
         return vectors
 
-    def kernel(algebra, phi, x, y, p, q):
-        assert all(type(v) is int for s in (x, y) for _, v in phi(s))
-        residuals.append(residual_terms(algebra, phi, x, y, p, q))
-        return residuals[-1]
+    def recheck(items):
+        def spied():
+            for t, placements in items:
+                handed.append(t)
+                yield t, placements
+        for t, terms in kernel(spied()):
+            found.append((t, terms))
+            yield t, terms
 
     monkeypatch.setattr(linalg, "sparse_nullspace", kernel_vectors)
-    monkeypatch.setattr(derivations, "residual_terms", kernel)
+    monkeypatch.setattr(derivations, "composed", recheck)
     result = solve_degree(spec, g2, window, delta)
     monkeypatch.undo()
 
@@ -431,23 +437,20 @@ def _assert_agrees(spec, g2, window, delta, monkeypatch, spoil=None):
     assert [g.coefficients for g in result.generators] == [
         {unknowns[c]: v for c, v in full.items() if core(c)} for full in basis]
     pairs = list(combinations(spec.basis_symbols(window.n_eq2), 2))
-    got = iter(residuals)
-    checked = True
-    for full in basis:
-        images = {}
+    every = [(x, y, g) for g in range(len(basis)) for x, y in pairs]
+    assert handed == every[:len(handed)] and (found or len(handed) == len(every))
+    images = [{} for _ in basis]
+    for g, full in enumerate(basis):
         for c, v in full.items():
-            images.setdefault(unknowns[c][0], {})[unknowns[c][1]] = v
-        factor = math.lcm(*(v.denominator for v in full.values())) * spec.scale * delta.denominator
-        for x, y in pairs:
-            terms = next(got)
-            assert all(type(v) is int for v in terms.values())
-            want = derivation_residual(spec, lambda s: images.get(s, {}), x, y, delta)
-            assert terms == {sym: factor * c for sym, c in want.items()}, (g2, delta, x, y)
-            if want:
-                checked = False
-                break
-    assert next(got, None) is None
-    assert result.residual_checked == checked
+            images[g].setdefault(unknowns[c][0], {})[unknowns[c][1]] = v
+    yielded = dict(found)
+    for x, y, g in handed:
+        want = derivation_oracle(spec, images[g], x, y, delta)
+        factor = math.lcm(*(v.denominator for v in basis[g].values())) * spec.scale * delta.denominator
+        assert yielded.get((x, y, g), {}) == {s: factor * c for s, c in want.items()}, (g2, delta, x, y)
+    assert all(type(v) is int for _, terms in found for v in terms.values())
+    assert [t for t, _ in found] in ([], handed[-1:])  # the pass stops at its first yield
+    assert result.residual_checked == (not found)
     return result
 
 

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracle import associativity_oracle, check_left_mult, compatibility_oracle
-from test_axioms import assert_skipped_terms_vanish, composed_calls, perturbations, rescaled
+from _oracle import (
+    associativity_oracle, check_left_mult, compatibility_oracle, oracle_bracket, oracle_product,
+)
+from test_axioms import _broken, assert_skipped_terms_vanish, composed_calls, perturbations, rescaled
 from lieverify import catalog, core, derivations, tpa
 from lieverify.core import (
     BasisSymbol,
@@ -229,6 +231,19 @@ def test_golden_product_reports_match_oracle(name, neq):
     _assert_reports_match_oracle(_golden_product(name), 2 * neq)
 
 
+def test_compatibility_on_a_skew_broken_bracket_is_formed_as_written():
+    """broken_so_hat's bracket is not antisymmetric, so each term of the law must be formed
+    as written: with a product L*N at neq 3 the report equals the oracle's, 1 765 violations,
+    and reading [x, z*y] as -[z*y, x] would change the residual of 17 of them."""
+    prod = ProductSpec(_broken(), parse_products("product L(m) N(n) = (1)*N(m+n)", _broken()).rules)
+    _assert_reports_match_oracle(prod, 6)
+    violations = check_compatibility(prod, 6).violations
+    br, mul = oracle_bracket(prod.algebra), oracle_product(prod)
+    as_if_skew = lambda x, y, z: mul(z, br(x, y)).scale(2) - br(mul(z, x), y) + br(mul(z, y), x)
+    changed = [v for v in violations if v.residual != as_if_skew(*v.witness)]
+    assert (len(violations), len(changed)) == (1765, 17)
+
+
 PRODUCTS = {
     "theorem": _cold_theorem_product,
     "broken_product": lambda: _golden_product("broken_product.liealg"),
@@ -306,25 +321,18 @@ def test_a_rule_on_a_new_family_pair_matches_oracle(lt1, rule):
     assert not all(r.passed for r in check_tpa(prod, 8))
 
 
-def test_tpa_checks_evaluate_only_family_live_triples(monkeypatch):
+def test_tpa_checks_evaluate_only_family_live_triples():
     """On a theorem product at neq 4, 165 of 3 654 associativity triples and 1 260 of
     9 477 compatibility triples can compose to a nonzero term on their families;
-    only those reach the residual kernels."""
-    seen = {"compatibility": []}
-    residual = tpa.residual_terms
-
-    def residual_spy(spec, phi, x, y, p, q):
-        seen["compatibility"].append((x, y, phi))
-        return residual(spec, phi, x, y, p, q)
-
-    monkeypatch.setattr(tpa, "residual_terms", residual_spy)
+    only those reach the kernel, and of the compatibility triples' 3 780 terms all do."""
     reports, calls = composed_calls(lambda: check_tpa(_cold_theorem_product(), 8))
-    seen["associativity"] = [t for t, _ in calls]
     assert [(r.check, r.passed, r.pairs_checked) for r in reports] == [
         ("commutativity", True, 378), ("associativity", True, 3654),
         ("compatibility", True, 9477)]
-    assert {check: (len(t), len(set(t))) for check, t in seen.items()} == {
-        "associativity": (165, 165), "compatibility": (1260, 1260)}
+    seen = dict(zip(("associativity", "compatibility"), calls, strict=True))
+    assert {check: (len(c), len({t for t, _ in c}), sum(len(p) for _, p in c))
+            for check, c in seen.items()} == {
+        "associativity": (165, 165, 330), "compatibility": (1260, 1260, 3780)}
 
 
 @pytest.mark.parametrize("make", [
@@ -335,7 +343,8 @@ def test_tpa_checks_evaluate_only_family_live_triples(monkeypatch):
 def test_every_term_of_a_skipped_associativity_triple_is_zero(make):
     prod = make()
     assert_skipped_terms_vanish(
-        prod, product_symbols, tpa._associator, lambda: check_associative(prod, 8),
+        core.placed(tpa._associator, core.table(prod, product_symbols)),
+        lambda: check_associative(prod, 8),
         itertools.combinations_with_replacement(prod.algebra.basis_symbols(8), 3))
 
 
