@@ -15,13 +15,13 @@ only to divide by s: ``live_check`` for a violation, ``bracket``, ``jacobi_terms
 ``composed`` is the one kernel of every bilinear identity: Jacobi, ``tpa``'s
 associativity and compatibility, the solver's re-check.  In one pass it sums the
 placed terms inner(outer(t[i], t[j]), t[k]) of each tuple t, each op a memo ``table``,
-and yields the nonzero sums.  ``reach`` and ``composes`` tell from the families
-alone whether two rules can compose to a nonzero term; the checks form only the tuples
-and terms that can (``live_window``, ``composed_plans``) and count the rest in closed form.
+and yields the nonzero sums.  ``reach`` tells from the families alone which rules exist
+and what they give; ``composed_plans`` walks it, outer rule to target to inner rule, and
+the checks form only the tuples and terms that can compose to a nonzero term
+(``live_window``) and count the rest in closed form.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -486,13 +486,6 @@ def reach(pairs: Mapping) -> dict[str, dict[str, frozenset[str]]]:
     return table
 
 
-def composes(outer: Mapping, inner: Mapping, a: str, b: str, c: str) -> bool:
-    """Whether some target family F of the `outer` rule for (a, b) has an `inner` rule
-    with c (both `reach` tables).  If not, inner(outer(x, y), z) is zero for every x, y
-    and z of families a, b and c: `eval_rule` gives {} for a pair with no rule."""
-    return any(inner.get(f, {}).get(c) for f in outer.get(a, {}).get(b, ()))
-
-
 def table(owner, fill: Callable) -> tuple:
     """`owner`'s op for `composed`: (its memo's `get`, `fill` bound to `owner`, `owner`).  The
     memo `owner._cache` holds s * (a op b) as (symbol, int) pairs.  A check builds its tables
@@ -530,19 +523,22 @@ def composed(items: Iterable[tuple]) -> Iterator[tuple]:
 
 
 def composed_plans(placements: tuple) -> dict:
-    """family triple f -> the placements of `placements` whose families f[i], f[j] and f[k]
-    compose on their tables' rules, for each f where one does; every placement left out
-    gives zero by construction.  Owners are keyed by `id`: hashing a frozen spec hashes
-    every rule."""
+    """family triple f -> the placements of `placements`, in their order, whose families
+    f[i], f[j] and f[k] compose on their tables' rules, for each f where one does: walked
+    from the rule graph, outer rule (a, b) -> target family g -> inner rule (g, c) with a
+    term.  Every placement left out gives zero by construction: `eval_rule` gives {} for a
+    pair with no rule.  Owners are keyed by `id`: hashing a frozen spec hashes every rule."""
     owners = {id(op[2]): op[2] for p in placements for op in p[4:6]}
     reaches = {key: reach(owner._pair) for key, owner in owners.items()}
-    families = dict.fromkeys(f for table in reaches.values() for f in table)
-    plans = {}
-    for f in itertools.product(families, repeat=3):
-        if kept := tuple(p for p in placements if composes(
-                reaches[id(p[4][2])], reaches[id(p[5][2])], f[p[0]], f[p[1]], f[p[2]])):
-            plans[f] = kept
-    return plans
+    marks: dict[tuple, set[int]] = {}
+    for n, (i, j, k, _, outer, inner, _) in enumerate(placements):
+        partners = reaches[id(inner[2])]
+        for a, rules in reaches[id(outer[2])].items():
+            for b, targets in rules.items():
+                for c in {c for g in targets for c, out in partners.get(g, {}).items() if out}:
+                    f = dict(zip((i, j, k), (a, b, c)))
+                    marks.setdefault((f[0], f[1], f[2]), set()).add(n)
+    return {f: tuple(p for n, p in enumerate(placements) if n in kept) for f, kept in marks.items()}
 
 
 def check_skew(spec: AlgebraSpec, window: Window) -> Report:

@@ -18,11 +18,15 @@ columns, and otherwise nonzero only at pivot columns below f: f = max(v_f).
 - So the vectors whose free column is core span the kernel's core projection.
 - In basis order each of those projections leads with its 1 at f and is 0 at
   the other free core columns: it is a row of the projection's unique RREF.
-The core window's pairs are assembled first; the outer pairs follow only if
-`_forced_zero`, the singleton peel and the one stage test per degree, leaves
-a core entry of those rows free (see `solve_degree`); ``linalg`` never peels.
-One ``core.composed`` pass over ``residual_placements`` re-checks every reported
-generator on the window pairs, in integers, up to the first nonzero residual.
+Each degree solves the core window's pairs first.  Their rows are some of the whole
+system's, so the core projection of their kernel bounds the interior from above; with
+no core free column the interior is 0.  Else `_ladder` extends each projection outward
+along the frame's `_rungs`, s*[l, z] = c*x + central terms with l in the core, z known
+and c != 0: the identity at (l, z) gives phi(x).  One ``core.composed`` pass over
+``residual_placements`` re-checks the extensions on the window pairs, in integers; as
+assembly forms each term as written too, a passing extension lies in the whole kernel,
+a lower bound that meets the upper one.  The degree falls back to the whole system when
+a source has no rung, an image leaves the degree's columns or the re-check fails.
 Unknowns, assembly and re-check all read s*[x, y] from ``spec._cache``, the one
 bracket memo, which the axiom and TPA checks share and ``core.bracket_symbols``
 fills; ``window_frame`` lists the window's pairs once per solve and ``_columns``
@@ -31,6 +35,7 @@ each degree's unknowns once.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +54,7 @@ from .core import (
     composed,
     format_index2,
     format_symbol,
+    reach,
     table,
 )
 
@@ -102,6 +108,7 @@ class Frame(NamedTuple):
     pairs: list[tuple]  # (x, y, s*[x, y]) for x before y among the n_eq symbols, not both central
     sources: list[BasisSymbol]  # the symbols and their pairwise bracket outputs, in basis order
     inner: int  # how many leading pairs have reach <= n_core2
+    rungs: Optional[list[tuple]]  # `_rungs`: the ladder from the core out to every source
 
 
 def window_frame(spec: AlgebraSpec, window: Window) -> Frame:
@@ -114,8 +121,32 @@ def window_frame(spec: AlgebraSpec, window: Window) -> Frame:
     for _, _, terms in pairs:
         sources.update(sym for sym, _ in terms)
     order = {name: i for i, name in enumerate(spec.family_map)}
-    return Frame(pairs, sorted(sources, key=lambda s: (order[s.family], s.twice or 0)),
-                 sum(reach(pair) <= window.n_core2 for pair in pairs))
+    sources = sorted(sources, key=lambda s: (order[s.family], s.twice or 0))
+    return Frame(pairs, sources, sum(reach(pair) <= window.n_core2 for pair in pairs),
+                 _rungs(spec, window, sources))
+
+
+def _rungs(spec: AlgebraSpec, window: Window, sources: list) -> Optional[list[tuple]]:
+    """(x, l, z, c, central terms) with s*[l, z] = c*x + central terms for each source x out
+    of the core by |index| then basis order, None if an x has none: l a non-central core
+    symbol, in that order too, and z a core source or an earlier x whose family `reach`es x's."""
+    core = sorted(spec.basis_symbols(window.n_core2, include_central=False), key=lambda s: abs(s.twice))
+    known = {s for s in sources if _is_core((s, None), window.n_core2)}
+    routes, memo, rungs = reach(spec._pair), spec._cache, []
+    for x in sorted((s for s in sources if s not in known), key=lambda s: abs(s.twice)):
+        for l, fam in ((l, fam) for l in core for fam, out in routes.get(l.family, {}).items()
+                       if x.family in out):
+            z = BasisSymbol(fam, spec.degree2(x) - spec.degree2(l) - spec.family_map[fam].shift2)
+            if z in known:
+                terms = memo[l, z] if (l, z) in memo else bracket_symbols(spec, l, z)
+                c, rest = dict(terms).get(x), [(s, k) for s, k in terms if s != x]
+                if c and all(s.twice is None for s, _ in rest):
+                    rungs.append((x, l, z, c, rest))
+                    known.add(x)
+                    break
+        else:
+            return None
+    return rungs
 
 
 def build_unknowns(
@@ -132,10 +163,10 @@ def build_unknowns(
 
 
 def _columns(spec: AlgebraSpec, g2: int, window: Window, frame: Frame) -> tuple[list, dict]:
-    """`build_unknowns` and src -> its [(tgt, column)]: phi(src) = sum of unknown[column] * tgt."""
-    unknowns, image = build_unknowns(spec, g2, window, frame), defaultdict(list)
+    """`build_unknowns` and src -> {tgt: column}: phi(src) = sum of unknown[column] * tgt."""
+    unknowns, image = build_unknowns(spec, g2, window, frame), defaultdict(dict)
     for i, (src, tgt) in enumerate(unknowns):
-        image[src].append((tgt, i))
+        image[src][tgt] = i
     return unknowns, image
 
 
@@ -166,18 +197,18 @@ def assemble_system(
         for mid, value in terms:
             # sources with no degree-matched targets have zero image
             value *= q
-            for tgt, column in image.get(mid, ()):
+            for tgt, column in image.get(mid, {}).items():
                 row = by_output.setdefault(tgt, {})
                 row[column] = row.get(column, 0) + value
-        for left, other, sign in ((x, y, 1), (y, x, -1)):
-            # [phi(left), other]; sign restores [other, phi(left)] order
-            factor = -p * sign
-            for tgt, column in image.get(left, ()):  # centrals may be absent
-                if (products := memo.get((tgt, other))) is None:
-                    products = bracket_symbols(spec, tgt, other)
+        for left, other, first in ((x, y, True), (y, x, False)):
+            # -p*[phi(x), y] and -p*[x, phi(y)], each formed as written, as the re-check does
+            for tgt, column in image.get(left, {}).items():  # centrals may be absent
+                key = (tgt, other) if first else (other, tgt)
+                if (products := memo.get(key)) is None:
+                    products = bracket_symbols(spec, *key)
                 for sym, value in products:
                     row = by_output.setdefault(sym, {})
-                    row[column] = row.get(column, 0) + factor * value
+                    row[column] = row.get(column, 0) - p * value
         for row in by_output.values():
             if 0 in row.values():  # terms that cancelled
                 row = {c: v for c, v in row.items() if v}
@@ -288,37 +319,49 @@ def _describe(coeffs: dict[Unknown, Fraction]) -> str:
     return "; ".join(parts)
 
 
-def _forced_zero(rows: list[linalg.SparseRow]) -> set[int]:
-    """Columns that singleton propagation over the row supports forces to zero.
+def _ladder(spec: AlgebraSpec, frame: Frame, columns: tuple, outer: int, vec: dict,
+            delta: Fraction) -> Optional[dict]:
+    """`vec`'s core part, in int, extended to every source along `frame.rungs` by the identity
+    at (l, z), phi(x) = (p*([phi l, z] + [l, phi z]) - q*sum k*phi(C)) / (q*c), and rescaled to
+    stay in int; None if a source has no rung or an image leaves the degree's columns."""
+    if frame.rungs is None:
+        return None
+    (unknowns, image), (p, q), memo = columns, (delta.numerator, delta.denominator), spec._cache
+    read = lambda a, b: memo[a, b] if (a, b) in memo else bracket_symbols(spec, a, b)
+    phi = defaultdict(dict)  # source -> target -> value
+    for col, v in linalg._as_ints({c: v for c, v in vec.items() if c >= outer}).items():
+        phi[unknowns[col][0]][unknowns[col][1]] = v
+    for x, l, z, c, rest in frame.rungs:
+        acc = defaultdict(int)
+        for (a, b), v in [((t, z), v) for t, v in phi[l].items()] + [
+                ((l, t), v) for t, v in phi[z].items()]:
+            for sym, w in read(a, b):
+                acc[sym] += p * v * w
+        for central, k in rest:
+            for t, v in phi[central].items():
+                acc[t] -= q * k * v
+        if (m := abs(q * c) // math.gcd(q * c, *acc.values())) > 1:
+            phi = defaultdict(dict, {s: {t: v * m for t, v in ts.items()} for s, ts in phi.items()})
+        phi[x] = {t: v * m // (q * c) for t, v in acc.items() if v}
+    full = {image.get(src, {}).get(t): v for src, terms in phi.items() for t, v in terms.items()}
+    return None if None in full else full
 
-    A row with one nonzero entry at column c forces x_c = 0 in every kernel
-    vector; striking c from the other rows may leave a new singleton (the
-    singleton step of structured Gaussian elimination, LaMacchia & Odlyzko,
-    CRYPTO '90).  Rows have no zero entries, so every column returned is 0 on
-    the whole kernel of `rows`.  Each row keeps only its count of live columns
-    and the sum of their indices, so a row whose count drops to 1 names its
-    last column by the sum.
-    """
-    count = [len(row) for row in rows]
-    total = [sum(row) for row in rows]
-    touching: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        for col in row:
-            touching.setdefault(col, []).append(i)
-    stack = [i for i, n in enumerate(count) if n == 1]
-    dead: set[int] = set()
-    while stack:
-        i = stack.pop()
-        if count[i] != 1:  # its last column died through another row
-            continue
-        col = total[i]
-        dead.add(col)
-        for j in touching[col]:
-            count[j] -= 1
-            total[j] -= col
-            if count[j] == 1:
-                stack.append(j)
-    return dead
+
+def _checked(spec: AlgebraSpec, unknowns: list, vectors: list, window: Window,
+             delta: Fraction) -> bool:
+    """Whether every vector, as a map on `unknowns`, is a delta-derivation on every window
+    pair: one `composed` pass over ``residual_placements``, in int, up to its first nonzero
+    residual.  A source the vector leaves out maps to 0; its table entry is filled with ()."""
+    images = {}  # (source, g) -> the int image of source by vector g
+    for g, full in enumerate(vectors):
+        for c, v in linalg._as_ints(full).items():
+            src, tgt = unknowns[c]
+            images.setdefault((src, g), []).append((tgt, v))
+    phi = (images.get, lambda a, g: images.setdefault((a, g), ()), None)
+    placements = residual_placements(spec, phi, delta.numerator, delta.denominator)
+    found = composed(((x, y, g), placements) for g in range(len(vectors))
+                     for x, y in itertools.combinations(spec.basis_symbols(window.n_eq2), 2))
+    return next(found, None) is None
 
 
 def solve_degree(
@@ -328,39 +371,25 @@ def solve_degree(
     delta: Fraction = Fraction(1, 2),
     frame: Optional[Frame] = None,
 ) -> DegreeResult:
-    """The interior delta-derivations of degree g2/2, each re-checked on the window.
-
-    The core window's pairs are assembled first.  Their rows are a subset of the
-    system's, so their kernel contains the full one: if `_forced_zero` of them
-    alone holds every core column, the interior is 0 and the outer pairs are
-    skipped.  Pair order changes no output: the kernel is read off a unique RREF.
-    The core unknowns are columns outer..n-1, in reverse basis order, so the kernel
-    vectors whose free column is core, last first, are the interior basis: their core
-    projections form the projection's RREF in basis order (proof in the module)."""
+    """The interior delta-derivations of degree g2/2, each re-checked on the window: from the
+    core pairs, settled or extended by `_ladder` and `_checked`, else from the whole system
+    (see the module).  The core unknowns are columns outer..n-1, in reverse basis order, so
+    the kernel vectors whose free column is core, last first, are the interior basis."""
     frame = frame or window_frame(spec, window)
-    columns = _columns(spec, g2, window, frame)
-    stage = frame._replace(pairs=frame.pairs[:frame.inner])
-    unknowns, rows = assemble_system(spec, g2, window, delta, stage, columns)
+    columns = unknowns, _ = _columns(spec, g2, window, frame)
     outer = sum(not _is_core(u, window.n_core2) for u in unknowns)
-    if not _forced_zero(rows).issuperset(range(outer, len(unknowns))):
-        stage = frame._replace(pairs=frame.pairs[frame.inner:])
-        rows += assemble_system(spec, g2, window, delta, stage, columns)[1]
-    vectors = linalg.sparse_nullspace(rows, len(unknowns))
-    basis = [vec for vec in reversed(vectors) if max(vec) >= outer]
-
-    generators, images = [], {}  # (source, g) -> the int image of source by generator g
-    for g, full in enumerate(basis):
-        for c, v in linalg._as_ints(full).items():
-            src, tgt = unknowns[c]
-            images.setdefault((src, g), []).append((tgt, v))
-        interior = {unknowns[c]: v for c, v in full.items() if c >= outer}
-        generators.append(Generator(_describe(interior), interior))
-    phi = (images.get, lambda a, g: (), None)  # a source missing from images maps to 0
-    placements = residual_placements(spec, phi, delta.numerator, delta.denominator)
-    symbols = list(spec.basis_symbols(window.n_eq2))
-    found = composed(((x, y, g), placements) for g in range(len(basis))
-                     for x, y in itertools.combinations(symbols, 2))
-    return DegreeResult(g2, len(basis), generators, next(found, None) is None)
+    kernel = lambda rows: [v for v in reversed(linalg.sparse_nullspace(rows, len(unknowns)))
+                           if max(v) >= outer]
+    stage = lambda pairs: assemble_system(spec, g2, window, delta, frame._replace(pairs=pairs),
+                                          columns)[1]
+    basis = kernel(rows := stage(frame.pairs[:frame.inner]))
+    extended = [_ladder(spec, frame, columns, outer, vec, delta) for vec in basis]
+    checked = None not in extended and _checked(spec, unknowns, extended, window, delta)
+    if not checked:
+        basis = kernel(rows + stage(frame.pairs[frame.inner:]))
+        checked = _checked(spec, unknowns, basis, window, delta)
+    interiors = [{unknowns[c]: v for c, v in full.items() if c >= outer} for full in basis]
+    return DegreeResult(g2, len(basis), [Generator(_describe(i), i) for i in interiors], checked)
 
 
 def solve_derivations(

@@ -30,6 +30,8 @@ on the core columns in basis order), beside `solve_degree`, which assembles
 the core window's pairs first and reads the interior basis off the kernel.
 `dense_rref` reduces a dense matrix by plain Gauss-Jordan, for projections.
 `structurally_equal` compares two algebras by their canonical .liealg text.
+`reference_plans` is `core.composed_plans` by enumeration: every family triple
+against every placement, beside the package's walk of the rule graph.
 `modular_rref` is the whole RREF mod PRIME: `_eliminate` over `_GF`, then
 its deferred rows, as `sparse_nullspace` completes it when it retries.
 `axiom_oracle` writes skew-symmetry, grading and the Jacobi identity out as
@@ -42,7 +44,7 @@ nonzero term.
 import functools
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd
 from typing import Sequence
 
@@ -161,6 +163,31 @@ def dense_rref(rows):
 def structurally_equal(a, b):
     """Equality up to canonical form (ignores the params metadata)."""
     return render_algebra(a) == render_algebra(b)
+
+
+def _targets(owner):
+    """family -> partner -> the target families of their rule, read off `owner._pair`."""
+    table = {}
+    for left, right, terms in owner._pair.values():
+        table.setdefault(left, {})[right] = table.setdefault(right, {})[left] = {
+            target for _, _, target, _ in terms}
+    return table
+
+
+def reference_plans(placements):
+    """family triple f -> the placements, in their order, for which some target family g
+    of the outer rule for (f[i], f[j]) has an inner rule with f[k] that has a term: every
+    triple of families tested against every placement, O(F^3) for F families."""
+    tables = {id(op[2]): _targets(op[2]) for p in placements for op in p[4:6]}
+    families = dict.fromkeys(f for table in tables.values() for f in table)
+    plans = {}
+    for f in product(families, repeat=3):
+        kept = tuple(p for p in placements if any(
+            tables[id(p[5][2])].get(g, {}).get(f[p[2]])
+            for g in tables[id(p[4][2])].get(f[p[0]], {}).get(f[p[1]], ())))
+        if kept:
+            plans[f] = kept
+    return plans
 
 
 def modular_rref(rows):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieverify import derivations, linalg
+from lieverify import linalg
 
 from _oracle import dense_nullspace, dense_rref, modular_rref
 
@@ -140,13 +140,12 @@ def _singleton_chain_systems(draw, values=_NONZERO):
 @settings(max_examples=80, deadline=None)
 @given(_singleton_chain_systems())
 def test_peeled_rref_matches_dense_oracle(system):
-    """The solver's stage test against the exact RREF: every column the peel
-    forces to zero is a unit row of RREF(rows), so it is 0 on the whole kernel."""
+    """Rows that a singleton peel would strike one column at a time, against the exact
+    RREF: every column of the singleton chain is a unit row of RREF(rows), so it is 0
+    on the whole kernel, and the sparse kernel equals the dense oracle's."""
     rows, ncols, chain = system
-    dead = derivations._forced_zero(list(rows))
-    assert chain <= dead
     pivots = linalg.rref(rows)
-    for col in dead:
+    for col in chain:
         assert pivots[col] == {col: F(1)}
     _assert_fully_reduced(pivots)
     sparse = [
@@ -159,7 +158,6 @@ def test_singleton_and_bidiagonal_rows_kill_every_column():
     ncols = 7
     rows = [{c: F(c + 1), c + 1: F(-2, c + 1)} for c in range(ncols - 1)]
     rows.append({ncols - 1: F(3)})  # the singleton comes last
-    assert derivations._forced_zero(rows) == set(range(ncols))
     assert linalg.rref(rows) == {c: {c: F(1)} for c in range(ncols)}
     assert len(linalg.rref(rows)) == ncols
     assert linalg.sparse_nullspace(rows, ncols) == []

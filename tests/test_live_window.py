@@ -16,8 +16,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from _oracle import axiom_oracle, tpa_oracle
-from lieverify import catalog
+from _oracle import axiom_oracle, reference_plans, tpa_oracle
+from lieverify import catalog, tpa
 from lieverify.core import (
     CENTRAL,
     AlgebraSpec,
@@ -26,11 +26,18 @@ from lieverify.core import (
     BracketTerm,
     DeltaCondition,
     Window,
+    _jacobi_rotations,
+    bracket_symbols,
     check_grading,
     check_jacobi,
     check_skew,
+    composed_plans,
     live_window,
+    placed,
+    table,
 )
+from lieverify.derivations import residual_placements
+from lieverify.dsl import parse_algebra
 from lieverify.poly import M, N, ONE
 from lieverify.tpa import (
     ProductSpec,
@@ -38,6 +45,7 @@ from lieverify.tpa import (
     check_commutative,
     check_compatibility,
     parse_products,
+    product_symbols,
     theorem_product,
 )
 
@@ -52,6 +60,34 @@ SHAPES = {
     (None, 0, 0): lambda s: itertools.combinations_with_replacement(s, 3),
     (None, 1, None): lambda s: ((x, y, z) for x, y in itertools.combinations(s, 2) for z in s),
 }
+
+
+def probe(families: int) -> AlgebraSpec:
+    """L and families F1.. F(families-1), each with the rule [L(m), Fk(n)] = n*Fk(m+n), and
+    [F1, F2] by a rule whose one term has an off-lattice delta."""
+    lines = ["algebra probe", "family L integer degree-offset 0"]
+    lines += [f"family F{k} integer degree-offset 0" for k in range(1, families)]
+    lines += [f"bracket L(m) F{k}(n) = (n)*F{k}(m+n)" for k in range(1, families)]
+    lines += ["bracket F1(m) F2(n) = delta(m+n+1/2)*L(m+n)"]  # never fires: a rule with no term
+    return parse_algebra("\n".join(lines) + "\n")
+
+
+def test_plans_from_the_rule_graph_equal_the_enumeration():
+    """`composed_plans` walks outer rule -> target -> inner rule; it gives the plans of the
+    enumeration of every family triple, placements in order: Jacobi on every representative
+    and on the 12-family probe, associativity and compatibility of a theorem product."""
+    jacobi = lambda spec: placed(_jacobi_rotations, table(spec, bracket_symbols))
+    specs = [catalog.builtin(*rep) for rep in catalog.REPRESENTATIVES] + [probe(12)]
+    lt1 = catalog.builtin("Ltilde1", {"lambda": F(1), "mu": F(1, 4)})
+    prod = theorem_product(lt1, {-1: F(3, 2), 2: F(1)}, {0: F(1)})
+    products = table(prod, product_symbols)
+    cases = [jacobi(spec) for spec in specs] + [
+        placed(tpa._associator, products), residual_placements(lt1, products, 1, 2)]
+    for placements in cases:
+        plans = composed_plans(placements)
+        assert plans and plans == reference_plans(placements)
+    # on the probe a term composes only as [[L, Fk], L] or [[Fk, L], L]: two L and one Fk
+    assert len(composed_plans(cases[len(specs) - 1])) == 3 * 11
 
 
 @settings(max_examples=200, deadline=None)
